@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .element import (
@@ -119,9 +120,15 @@ class IdempotentChain(SetDescriptor):
 
 @dataclass(frozen=True)
 class FinitelyGenerated(SetDescriptor):
-    """Subsemigroup generated by a finite list, explored by bounded closure."""
+    """Subsemigroup generated by a finite list, explored by bounded closure.
+
+    Each bounded closure is computed once per bound and kept on the
+    descriptor, so membership, enumeration, census and neighborhood queries
+    on one family all read the same view, which is freed with the descriptor.
+    """
 
     gens: tuple
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gens:
@@ -129,6 +136,13 @@ class FinitelyGenerated(SetDescriptor):
         for g in self.gens:
             if not isinstance(g, BicyclicElement):
                 raise TypeError("generators must be monoid elements")
+
+    def closure_at(self, bound: int) -> ClosureResult:
+        """`closure(self.gens, bound)`, computed on the first call for this bound."""
+        view = self._views.get(bound)
+        if view is None:
+            view = self._views[bound] = closure(self.gens, bound)
+        return view
 
 
 @dataclass(frozen=True)
@@ -147,36 +161,70 @@ class ClosureResult:
 
 
 def closure(gens, bound: int) -> ClosureResult:
-    """All products of the generators reachable without any exponent leaving [0, bound].
+    """The generated subsemigroup as far as it can be built inside box(bound).
 
-    saturated=True means no product was ever discarded, so the result is the
-    entire generated subsemigroup (it happens to be finite).
+    members is the least subset of box(bound) = {b^k a^l : k, l <= bound}
+    that contains the generators and holds every product of two of its
+    members that lands in the box.  saturated=True means no product of two
+    members leaves the box, so members is the whole generated subsemigroup
+    (which is then finite).  Costs O(bound^3) integer steps.
+
+    The fixpoint runs on exponent pairs with a worklist; each member, once
+    taken off it, is multiplied against the members taken before it and
+    against itself.  For x = (a, b) and y = (c, d) the product law reads
+
+        b <= c:  (c + (a - b), d)    x matters only through a - b
+        b >= c:  (a, b + (d - c))    y matters only through d - c
+
+    (at b = c both give (a, d)).  So for each difference a - b only the
+    least l of a member with it (min_l) decides which y it reaches, and
+    likewise the least k (min_k) for each difference d - c.  A new member
+    multiplies as y against every difference whose min_l is at most its k,
+    and as x against every min_k at most its l.  When it lowers min_l
+    (min_k) of its own difference, it also scans the rows (columns) that
+    the lower minimum newly opens; from the old minimum on, a member with
+    the same difference has already formed the same products.  So every
+    ordered pair of members is accounted for, and saturated is exact.
     """
     gens = tuple(gens)
     if any(max(g.k, g.l) > bound for g in gens):
         raise ValueError("closure bound must cover the generators")
-    current = set(gens)
+    seen = {(g.k, g.l) for g in gens}
+    work = list(seen)
+    rows = defaultdict(list)  # k -> the l of each member taken so far with that k
+    cols = defaultdict(list)  # l -> the k of each member taken so far with that l
+    min_l = {}  # k - l -> least l among members taken so far
+    min_k = {}  # l - k -> least k among members taken so far
     saturated = True
-    frontier = set(gens)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in current:
-                for z in (multiply(x, y), multiply(y, x)):
-                    if max(z.k, z.l) > bound:
-                        saturated = False
-                    elif z not in current and z not in fresh:
-                        fresh.add(z)
-        current |= fresh
-        frontier = fresh
-    return ClosureResult(frozenset(current), saturated)
+    while work:
+        a, b = work.pop()
+        rows[a].append(b)
+        cols[b].append(a)
+        out = []
+        old = min_l.get(a - b, bound + 1)
+        if b < old:
+            min_l[a - b] = b
+            out += [(c + a - b, d) for c in range(b, old) for d in rows[c]]
+        old = min_k.get(b - a, bound + 1)
+        if a < old:
+            min_k[b - a] = a
+            out += [(c, d + b - a) for d in range(a, old) for c in cols[d]]
+        out += [(a + dx, b) for dx, least in min_l.items() if least <= a]
+        out += [(a, b + ey) for ey, least in min_k.items() if least <= b]
+        for z in out:
+            if z[0] > bound or z[1] > bound:
+                saturated = False
+            elif z not in seen:
+                seen.add(z)
+                work.append(z)
+    return ClosureResult(frozenset(BicyclicElement(k, l) for k, l in seen), saturated)
 
 
 def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> BoundedMembership:
     """Membership with an explicit definiteness flag.
 
     Closed-form families are always definite.  For FinitelyGenerated the
-    answer is computed from a bounded closure: a positive answer is
+    answer is read from the family's bounded closure: a positive answer is
     definite, a negative one is definite only if the closure saturated.
     """
     if isinstance(desc, Full):
@@ -194,7 +242,7 @@ def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = N
     if isinstance(desc, FinitelyGenerated):
         gen_max = max(max(g.k, g.l) for g in desc.gens)
         used = max(bound if bound is not None else DEFAULT_CLOSURE_BOUND, gen_max, x.k, x.l)
-        result = closure(desc.gens, used)
+        result = desc.closure_at(used)
         found = x in result.members
         return BoundedMembership(found, found or result.saturated, used)
     raise TypeError(f"unknown descriptor {desc!r}")
@@ -214,7 +262,7 @@ def enumerate_members(desc: SetDescriptor, bound: int) -> list:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if isinstance(desc, FinitelyGenerated):
-        return sorted(closure(desc.gens, bound).members)
+        return sorted(desc.closure_at(bound).members)
     box = (
         BicyclicElement(k, l)
         for k in range(bound + 1)
@@ -270,7 +318,7 @@ def idempotent_census(desc: SetDescriptor, bound: int) -> CensusResult:
         count = sum(1 for n in range(desc.m, desc.n + 1) if n <= bound)
         return CensusResult(count, CensusVerdict.FINITE, None, "one idempotent per window row")
     if isinstance(desc, FinitelyGenerated):
-        result = closure(desc.gens, bound)
+        result = desc.closure_at(bound)
         count = sum(1 for e in result.members if e.is_idempotent)
         pair = _strict_pair(result.members)
         if pair is not None:

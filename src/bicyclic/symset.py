@@ -452,8 +452,16 @@ def pointwise_witness(a: SymSet, b: SymSet, z: BicyclicElement, scan: int = 80):
     """A pair (x, y) with x in a, y in b and x*y = z, or None within the scan.
 
     Used by verification code to confirm that every claimed product member
-    is a genuine product; solve_left makes the check exact once x is fixed.
+    is a genuine product.  A factor from a Single of b is found exactly by
+    solve_right, and once x is fixed solve_left finds y exactly, so the
+    search is exact whenever either factor is a point; a tail of a is
+    scanned over its first `scan` members.
     """
+    for atom in b.atoms:
+        if isinstance(atom, Single):
+            for x in solve_right(z, atom.element):
+                if member(a, x):
+                    return (x, atom.element)
     for atom in a.atoms:
         for x in atom_members(atom, scan):
             for y in solve_left(x, z):

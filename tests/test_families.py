@@ -1,9 +1,14 @@
 """Named families: membership, closure, census, idempotent families, finite blocks."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bicyclic.families as families
 from bicyclic import (
     BicyclicElement,
     CensusVerdict,
@@ -88,6 +93,86 @@ def test_closure_strict_pair_truncates():
 def test_closure_bound_must_cover_generators():
     with pytest.raises(ValueError):
         closure([E(5, 1)], 3)
+
+
+def _pair_product(x, y):
+    (a, b), (c, d) = x, y
+    if b < c:
+        return (a - b + c, d)
+    if b == c:
+        return (a, d)
+    return (a, b - c + d)
+
+
+def _naive_closure(gens, bound):
+    """All-pairs fixpoint on exponent pairs: (members, saturated)."""
+    members = set(gens)
+    while True:
+        products = {_pair_product(x, y) for x in members for y in members}
+        inside = {z for z in products if max(z) <= bound}
+        if inside <= members:
+            return members, inside == products
+        members |= inside
+
+
+def _assert_matches_naive(gens, bound):
+    got = closure([E(k, l) for k, l in gens], bound)
+    members, saturated = _naive_closure(gens, bound)
+    assert {(e.k, e.l) for e in got.members} == members, (gens, bound)
+    assert got.saturated == saturated, (gens, bound)
+
+
+def test_closure_matches_naive_fixpoint_on_small_sets():
+    box = [(k, l) for k in range(5) for l in range(5)]
+    for size in (1, 2):
+        for gens in combinations(box, size):
+            top = max(max(g) for g in gens)
+            for bound in range(top, top + 4):
+                _assert_matches_naive(gens, bound)
+
+
+def test_closure_matches_naive_fixpoint_on_random_triples():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        gens = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(3)]
+        top = max(max(g) for g in gens)
+        _assert_matches_naive(gens, top + rng.randint(0, 4))
+
+
+@pytest.fixture
+def closure_builds(monkeypatch):
+    """Counts closure computations by bound."""
+    builds = Counter()
+    engine = families.closure
+
+    def counted(gens, bound):
+        builds[bound] += 1
+        return engine(gens, bound)
+
+    monkeypatch.setattr(families, "closure", counted)
+    return builds
+
+
+def test_family_closure_is_built_once_per_bound(closure_builds):
+    desc = FinitelyGenerated((E(1, 2), E(4, 1)))
+    naive, _ = _naive_closure([(1, 2), (4, 1)], 14)
+    for k in range(24):
+        x = E(k % 9, (5 * k) % 14)
+        assert membership(desc, x, 14).member == ((x.k, x.l) in naive)
+    assert closure_builds == {14: 1}
+
+    closure_builds.clear()
+    nb = finite_neighborhood(parse_descriptor("gen:b^0a^1,b^2a^0"), E(1, 2), 14)
+    assert nb.i0 == 3
+    assert closure_builds[14] == 1 and set(closure_builds.values()) == {1}
+
+    closure_builds.clear()
+    desc = FinitelyGenerated((E(0, 2), E(3, 1)))
+    census = idempotent_census(desc, 12)
+    assert enumerate_members(desc, 12) == sorted(desc.closure_at(12).members)
+    assert contains(desc, E(0, 2), 12)
+    assert census.verdict is CensusVerdict.INFINITE
+    assert closure_builds == {12: 1}
 
 
 def test_fg_membership_definite_vs_bounded():
