@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .element import BicyclicElement, invert, multiply, solve_left, solve_right
@@ -131,8 +131,8 @@ def atom_member(atom: Atom, x: BicyclicElement) -> bool:
     if isinstance(atom, Single):
         return atom.element == x
     if isinstance(atom, RowTail):
-        return x.k == atom.row and x.l >= atom.base and (x.l - atom.base) % atom.step == 0
-    return x.l == atom.col and x.k >= atom.base and (x.k - atom.base) % atom.step == 0
+        return x.k == atom.row and _on_progression(atom, x.l)
+    return x.l == atom.col and _on_progression(atom, x.k)
 
 
 def member(s: SymSet, x: BicyclicElement) -> bool:
@@ -201,16 +201,86 @@ def _atom_contains(outer: Atom, inner: Atom) -> bool:
     return False  # an infinite tail never fits a Single or the other orientation
 
 
+class _LineIndex:
+    """The atoms of one set, looked up by the row or column they lie on.
+
+    Built in O(atoms).  Axis 0 is rows and axis 1 is columns: tails[0] maps
+    a row to its RowTails and tails[1] a column to its ColTails, and
+    line_points[0] (line_points[1]) maps a row (column) to the free exponents
+    l (k) of the points on it.  Points stay out of `tails`, so the tails of a
+    line are all that absorption and membership ever scan.
+    """
+
+    __slots__ = ("points", "tails", "line_points")
+
+    def __init__(self, atoms: Iterable[Atom]):
+        points, row_points, col_points, rows, cols = set(), {}, {}, {}, {}
+        for atom in atoms:
+            if isinstance(atom, Single):
+                k, l = atom.element.k, atom.element.l
+                points.add((k, l))
+                row_points.setdefault(k, []).append(l)
+                col_points.setdefault(l, []).append(k)
+            elif isinstance(atom, RowTail):
+                rows.setdefault(atom.row, []).append(atom)
+            else:
+                cols.setdefault(atom.col, []).append(atom)
+        self.points = points
+        self.tails = (rows, cols)
+        self.line_points = (row_points, col_points)
+
+    def has(self, k: int, l: int) -> bool:
+        """Membership of b^k a^l: a point, or a tail on row k or column l."""
+        return (
+            (k, l) in self.points
+            or _any_on_progression(self.tails[0].get(k, ()), l)
+            or _any_on_progression(self.tails[1].get(l, ()), k)
+        )
+
+    def absorbers(self, atom: Atom) -> list:
+        """The atoms that can contain `atom`: the tails on its own lines."""
+        if isinstance(atom, Single):
+            return self.tails[0].get(atom.element.k, []) + self.tails[1].get(atom.element.l, [])
+        axis, line = _tail_line(atom)
+        return self.tails[axis].get(line, [])
+
+
+def _tail_line(tail) -> tuple:
+    """(axis, line) of a tail: (0, row) for a RowTail, (1, col) for a ColTail."""
+    return (0, tail.row) if isinstance(tail, RowTail) else (1, tail.col)
+
+
+def _on_progression(tail, value: int) -> bool:
+    """Whether the tail's free exponent takes `value`."""
+    return value >= tail.base and (value - tail.base) % tail.step == 0
+
+
+def _any_on_progression(tails, value: int) -> bool:
+    """Whether one of `tails` takes `value`; a plain loop, as membership runs it most."""
+    for tail in tails:
+        if value >= tail.base and (value - tail.base) % tail.step == 0:
+            return True
+    return False
+
+
 def canonicalize(s: SymSet) -> SymSet:
-    """Deterministic normal form: dedupe, drop atoms absorbed by another, sort."""
-    atoms = sorted(set(s.atoms), key=_atom_key)
+    """Deterministic normal form: dedupe, drop atoms absorbed by another, sort.
+
+    Only a tail can absorb an atom, and only a tail on one of the atom's own
+    lines, so each atom is tested against those alone through a line index.
+    The index costs O(atoms) to build and each atom then O(tails on its
+    lines), however many points share a line.
+    """
+    atoms = set(s.atoms)
+    index = _LineIndex(atoms)
     # distinct atoms never contain each other mutually, so dropping every
     # absorbed atom cannot empty an equivalence class
     kept = [
         a
-        for i, a in enumerate(atoms)
-        if not any(j != i and _atom_contains(b, a) for j, b in enumerate(atoms))
+        for a in atoms
+        if not any(b is not a and _atom_contains(b, a) for b in index.absorbers(a))
     ]
+    kept.sort(key=_atom_key)
     return SymSet(tuple(kept))
 
 
@@ -238,53 +308,45 @@ class SubsetWitness:
     covering_bound: Optional[int] = None
 
 
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
-def _rowtail_subset(tail: RowTail, target: SymSet) -> SubsetWitness:
-    # Only same-row tails of the target matter past a finite prefix; their
+def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
+    # Only same-line tails of the target matter past a finite prefix; their
     # step lcm is the period of membership along the tail.
-    steps = []
+    axis, line = _tail_line(tail)
+    same_line = index.tails[axis].get(line, ())
     consts = [tail.base]
-    for atom in target.atoms:
-        if isinstance(atom, RowTail) and atom.row == tail.row:
-            steps.append(atom.step)
-            consts.append(atom.base)
-        elif isinstance(atom, Single) and atom.element.k == tail.row:
-            consts.append(atom.element.l)
-        elif isinstance(atom, ColTail):
-            # contributes at most the one element (tail.row, atom.col)
-            if tail.row >= atom.base and (tail.row - atom.base) % atom.step == 0:
-                consts.append(atom.col)
-    period = _lcm(steps) if steps else 1
+    consts.extend(t.base for t in same_line)
+    consts.extend(index.line_points[axis].get(line, ()))
+    for cross, tails in index.tails[1 - axis].items():
+        # a crossing tail contributes at most the one element on this line
+        if _any_on_progression(tails, line):
+            consts.append(cross)
+    period = lcm(*(t.step for t in same_line))  # 1 when the line has no tails
     bound = max(consts) + period * tail.step
-    value = tail.base
-    while value <= bound:
-        candidate = BicyclicElement(tail.row, value)
-        if not member(target, candidate):
-            return SubsetWitness(False, counterexample=candidate)
-        value += tail.step
+    for value in range(tail.base, bound + 1, tail.step):
+        k, l = (line, value) if axis == 0 else (value, line)
+        if not index.has(k, l):
+            return SubsetWitness(False, counterexample=BicyclicElement(k, l))
     return SubsetWitness(True, covering_bound=bound)
 
 
 def subset(a: SymSet, b: SymSet) -> SubsetWitness:
-    """Exact test a <= b with a checkable certificate either way."""
+    """Exact test a <= b with a checkable certificate either way.
+
+    Points of a and the covering prefix of each tail of a are looked up in a
+    line index of b, which costs O(atoms of b) to build and O(tails on one
+    line) per lookup.  The prefix of a tail ends at its covering bound: the
+    largest exponent that b's atoms fix on the tail's line plus one period
+    of b's tails on that line, read from the index in O(atoms of b on the
+    line + tails of b across it).
+    """
+    index = _LineIndex(b.atoms)
     worst_bound = 0
     for atom in a.atoms:
         if isinstance(atom, Single):
-            if not member(b, atom.element):
+            if not index.has(atom.element.k, atom.element.l):
                 return SubsetWitness(False, counterexample=atom.element)
             continue
-        if isinstance(atom, RowTail):
-            w = _rowtail_subset(atom, b)
-        else:
-            w = _rowtail_subset(_transpose_atom(atom), transpose(b))
-            if not w.holds:
-                w = SubsetWitness(False, counterexample=invert(w.counterexample))
+        w = _tail_subset(atom, index)
         if not w.holds:
             return w
         worst_bound = max(worst_bound, w.covering_bound)
@@ -314,7 +376,32 @@ def atom_disjoint(a: Atom, b: Atom) -> bool:
 
 
 def intersection_empty(a: SymSet, b: SymSet) -> bool:
-    return all(atom_disjoint(x, y) for x in a.atoms for y in b.atoms)
+    """Whether a and b share no element, decided exactly.
+
+    Reads a line index of b, which costs O(atoms of b) to build.  A point of
+    a is one lookup, O(tails on one line).  A tail of a meets only the points
+    and tails of b on its own line, and the tails that cross that line at one
+    element each: O(atoms of b on its line + tails of b across it) per tail.
+    """
+    index = _LineIndex(b.atoms)
+    for x in a.atoms:
+        if isinstance(x, Single):
+            if index.has(x.element.k, x.element.l):
+                return False
+            continue
+        axis, line = _tail_line(x)
+        for value in index.line_points[axis].get(line, ()):
+            if _on_progression(x, value):
+                return False
+        for y in index.tails[axis].get(line, ()):
+            if (x.base - y.base) % gcd(x.step, y.step) == 0:
+                return False
+        # a crossing tail on line `cross` can only share the element where
+        # the two lines meet
+        for cross, tails in index.tails[1 - axis].items():
+            if _on_progression(x, cross) and _any_on_progression(tails, line):
+                return False
+    return True
 
 
 # --- translation images ---------------------------------------------------------
@@ -358,9 +445,17 @@ def left_image(s: BicyclicElement, sets: SymSet) -> SymSet:
     return canonicalize(SymSet(tuple(atoms)))
 
 
+def _right_image_atom(atom: Atom, s: BicyclicElement) -> list:
+    # inversion is an anti-isomorphism: x * s = inv(inv(s) * inv(x))
+    return [_transpose_atom(z) for z in _left_image_atom(invert(s), _transpose_atom(atom))]
+
+
 def right_image(sets: SymSet, s: BicyclicElement) -> SymSet:
     """The exact set { x * s : x in sets }, via the inversion anti-isomorphism."""
-    return canonicalize(transpose(left_image(invert(s), transpose(sets))))
+    atoms = []
+    for atom in sets.atoms:
+        atoms.extend(_right_image_atom(atom, s))
+    return canonicalize(SymSet(tuple(atoms)))
 
 
 # --- products --------------------------------------------------------------------
@@ -427,10 +522,7 @@ def product(a: SymSet, b: SymSet) -> SymSet:
             if isinstance(x, Single):
                 atoms.extend(_left_image_atom(x.element, y))
             elif isinstance(y, Single):
-                atoms.extend(
-                    _transpose_atom(z)
-                    for z in _left_image_atom(invert(y.element), _transpose_atom(x))
-                )
+                atoms.extend(_right_image_atom(x, y.element))
             elif isinstance(x, RowTail) and isinstance(y, RowTail):
                 atoms.extend(_product_row_row(x, y))
             elif isinstance(x, RowTail) and isinstance(y, ColTail):

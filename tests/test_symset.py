@@ -1,5 +1,9 @@
 """Progression-set algebra: membership, subset certificates, images, products."""
 
+import importlib
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,8 @@ from bicyclic import (
     ColTail,
     RowTail,
     Single,
+    SubsetWitness,
+    SymSet,
     UnrepresentableProductError,
     atom_members,
     canonicalize,
@@ -31,6 +37,9 @@ from bicyclic import (
     transpose,
     union,
 )
+from bicyclic.symset import atom_disjoint, atom_member
+
+symset_module = importlib.import_module("bicyclic.symset")
 
 E = BicyclicElement
 
@@ -149,6 +158,122 @@ def test_disjointness_pinned():
     assert intersection_empty(symset(RowTail(0, 0, 1)), symset(RowTail(1, 0, 1)))
     assert not intersection_empty(symset(RowTail(1, 0, 2)), symset(ColTail(4, 1, 3)))
     assert intersection_empty(symset(RowTail(1, 5, 2)), symset(ColTail(4, 2, 9)))
+
+
+# --- the line index against an all-pairs reference ---------------------------------
+
+
+def _ref_member(atom_list, x):
+    return any(atom_member(a, x) for a in atom_list)
+
+
+def _ref_canonicalize(s):
+    atom_list = sorted(set(s.atoms), key=symset_module._atom_key)
+    return SymSet(
+        tuple(
+            a
+            for a in atom_list
+            if not any(b != a and symset_module._atom_contains(b, a) for b in atom_list)
+        )
+    )
+
+
+def _ref_rowtail_subset(tail, target):
+    steps, consts = [], [tail.base]
+    for atom in target:
+        if isinstance(atom, RowTail) and atom.row == tail.row:
+            steps.append(atom.step)
+            consts.append(atom.base)
+        elif isinstance(atom, Single) and atom.element.k == tail.row:
+            consts.append(atom.element.l)
+        elif isinstance(atom, ColTail) and atom_member(atom, E(tail.row, atom.col)):
+            consts.append(atom.col)
+    bound = max(consts) + math.lcm(*steps) * tail.step
+    for value in range(tail.base, bound + 1, tail.step):
+        if not _ref_member(target, E(tail.row, value)):
+            return SubsetWitness(False, counterexample=E(tail.row, value))
+    return SubsetWitness(True, covering_bound=bound)
+
+
+def _ref_subset(a, b):
+    worst = 0
+    for atom in a.atoms:
+        if isinstance(atom, Single):
+            if not _ref_member(b.atoms, atom.element):
+                return SubsetWitness(False, counterexample=atom.element)
+            continue
+        if isinstance(atom, RowTail):
+            w = _ref_rowtail_subset(atom, b.atoms)
+        else:
+            w = _ref_rowtail_subset(RowTail(atom.col, atom.base, atom.step), transpose(b).atoms)
+            if not w.holds:
+                w = SubsetWitness(False, counterexample=invert(w.counterexample))
+        if not w.holds:
+            return w
+        worst = max(worst, w.covering_bound)
+    return SubsetWitness(True, covering_bound=worst)
+
+
+def _ref_intersection_empty(a, b):
+    return all(atom_disjoint(x, y) for x in a.atoms for y in b.atoms)
+
+
+def _crowded_atoms(rng):
+    """Many points on one row and one column, several tails on each of the
+    two lines (crossing where they meet), and a scatter of small atoms."""
+    row, col = rng.randint(0, 4), rng.randint(0, 4)
+    out = [Single(E(row, rng.randint(0, 40))) for _ in range(rng.randint(0, 30))]
+    out += [Single(E(rng.randint(0, 40), col)) for _ in range(rng.randint(0, 30))]
+
+    def step():
+        return rng.choice([1, 2, 3, 4, 6])
+
+    out += [RowTail(row, rng.randint(0, 30), step()) for _ in range(rng.randint(0, 4))]
+    out += [ColTail(col, rng.randint(0, 30), step()) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, 6)):
+        k, l = rng.randint(0, 8), rng.randint(0, 8)
+        out.append(rng.choice([Single(E(k, l)), RowTail(k, l, step()), ColTail(l, k, step())]))
+    rng.shuffle(out)
+    return out
+
+
+def test_line_index_matches_all_pairs_reference():
+    rng = random.Random(20261018)
+    outcomes, disjoint = set(), set()
+    for case in range(400):
+        raw = [SymSet(tuple(_crowded_atoms(rng))) for _ in range(2)]
+        canon = [canonicalize(s) for s in raw]
+        for s, c in zip(raw, canon):
+            assert c == _ref_canonicalize(s)
+        # raw and canonical inputs; the union and a sample of a's atoms make
+        # subsets that hold
+        a, b = (raw if case % 2 else canon)
+        sample = SymSet(tuple(x for x in a.atoms if rng.random() < 0.3))
+        for left, right in ((a, b), (b, a), (a, union(a, b)), (sample, a), (sample, b)):
+            got = subset(left, right)
+            assert got == _ref_subset(left, right)
+            outcomes.add(got.holds)
+            empty = intersection_empty(left, right)
+            assert empty == _ref_intersection_empty(left, right)
+            disjoint.add(empty)
+    assert outcomes == disjoint == {True, False}
+
+
+def test_canonicalize_scans_only_the_lines_of_each_atom(monkeypatch):
+    calls = 0
+    contains = symset_module._atom_contains
+
+    def counted(outer, inner):
+        nonlocal calls
+        calls += 1
+        return contains(outer, inner)
+
+    monkeypatch.setattr(symset_module, "_atom_contains", counted)
+    # 2,001 points on row 0 and one column tail: the all-pairs scan made
+    # about 4 million containment tests here
+    img = left_image(E(0, 2000), symset(ColTail(0, 0, 1)))
+    assert len(img.atoms) == 2002
+    assert calls <= 2 * len(img.atoms)
 
 
 # --- images -----------------------------------------------------------------------------
