@@ -5,219 +5,73 @@ arithmetic-progression sets, named subsemigroup families with finite
 neighborhood blocks, progression topologies, and a decision procedure for
 continuity of shifts and of multiplication.  Everything is integer-exact;
 bounded searches say so in their verdicts.
+
+Only the `element` and `symset` layers load with the package.  The names
+of `families`, `topology` and `continuity` load their module on first
+access (PEP 562) and are then bound here, so a command that multiplies
+two elements does not pay for the layers it never uses.  `symset` has to
+load eagerly: it names both a submodule and a function re-exported here,
+and the import system binds the submodule over the function the first
+time the submodule loads.
 """
 
-from .element import (
-    IDENTITY,
-    BicyclicElement,
-    Half,
-    format_element,
-    half_membership,
-    invert,
-    is_idempotent,
-    multiply,
-    natural_leq,
-    natural_leq_witness,
-    parse_element,
-    parse_word,
-    power,
-    reduce_word,
-    solve_left,
-    solve_right,
-    word_of,
-)
-from .symset import (
-    EMPTY,
-    ColTail,
-    RowTail,
-    Single,
-    SubsetWitness,
-    SymSet,
-    UnrepresentableProductError,
-    atom_members,
-    canonicalize,
-    format_symset,
-    intersection_empty,
-    left_image,
-    member,
-    members,
-    parse_symset,
-    pointwise_witness,
-    product,
-    right_image,
-    subset,
-    symset,
-    symset_from_records,
-    symset_to_records,
-    transpose,
-    union,
-)
-from .families import (
-    BoundedMembership,
-    CensusResult,
-    CensusVerdict,
-    ClosureResult,
-    CPlus,
-    CPlusRow,
-    CPlusWindow,
-    CMinus,
-    FamilyCheck,
-    FinitelyGenerated,
-    Full,
-    IdempotentChain,
-    IdempotentFamily,
-    Neighborhood,
-    NoIsolatingIdempotentError,
-    SetDescriptor,
-    anti_iso,
-    closure,
-    contains,
-    enumerate_members,
-    finite_neighborhood,
-    format_descriptor,
-    idempotent_census,
-    idempotent_family,
-    membership,
-    parse_descriptor,
-    window_iso,
-)
-from .topology import (
-    CarrierError,
-    Discrete,
-    PAdicMinus,
-    PAdicPlus,
-    TopologyDescriptor,
-    WindowPAdic,
-    basic_nbhd,
-    carrier,
-    format_topology,
-    is_isolated,
-    parse_topology,
-    separation_index,
-)
-from .continuity import (
-    ContinuousAt,
-    DiscontinuityWitness,
-    DiscontinuousAt,
-    EquationReplay,
-    JointCell,
-    JointReport,
-    RefutedUpToBound,
-    ShiftCell,
-    ShiftReport,
-    ShiftSide,
-    apply_shift,
-    check_joint,
-    check_joint_at,
-    check_shift,
-    check_shift_at,
-    equation_replay,
-    find_discontinuity,
-    shift_image,
-    window_joint_report,
-)
+from importlib import import_module
+
+# every public name, by the layer that defines it
+_LAYERS = {
+    "element": (
+        "BicyclicElement", "Half", "IDENTITY", "multiply", "invert", "power",
+        "is_idempotent", "half_membership", "natural_leq", "natural_leq_witness",
+        "solve_left", "solve_right", "parse_element", "format_element",
+        "parse_word", "reduce_word", "word_of",
+    ),
+    "symset": (
+        "SymSet", "Single", "RowTail", "ColTail", "EMPTY", "symset", "member",
+        "members", "atom_members", "canonicalize", "union", "subset",
+        "SubsetWitness", "intersection_empty", "transpose", "left_image",
+        "right_image", "product", "pointwise_witness",
+        "UnrepresentableProductError", "parse_symset", "format_symset",
+        "symset_to_records", "symset_from_records",
+    ),
+    "families": (
+        "SetDescriptor", "Full", "CPlus", "CMinus", "CPlusRow", "CPlusWindow",
+        "IdempotentChain", "FinitelyGenerated", "membership", "BoundedMembership",
+        "contains", "closure", "ClosureResult", "enumerate_members",
+        "idempotent_census", "CensusResult", "CensusVerdict", "IdempotentFamily",
+        "FamilyCheck", "idempotent_family", "Neighborhood",
+        "NoIsolatingIdempotentError", "finite_neighborhood", "window_iso",
+        "anti_iso", "parse_descriptor", "format_descriptor",
+    ),
+    "topology": (
+        "TopologyDescriptor", "Discrete", "PAdicPlus", "PAdicMinus", "WindowPAdic",
+        "CarrierError", "carrier", "is_isolated", "basic_nbhd", "separation_index",
+        "parse_topology", "format_topology",
+    ),
+    "continuity": (
+        "ShiftSide", "ContinuousAt", "DiscontinuousAt", "RefutedUpToBound",
+        "apply_shift", "shift_image", "check_shift_at", "check_shift", "ShiftCell",
+        "ShiftReport", "check_joint_at", "check_joint", "window_joint_report",
+        "JointCell", "JointReport", "find_discontinuity", "DiscontinuityWitness",
+        "equation_replay", "EquationReplay",
+    ),
+}
+_EAGER = ("element", "symset")
+_LAZY = {name: layer for layer, names in _LAYERS.items() if layer not in _EAGER for name in names}
+
+for _layer in _EAGER:
+    _module = import_module(f".{_layer}", __name__)
+    globals().update({name: getattr(_module, name) for name in _LAYERS[_layer]})
+del _layer, _module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BicyclicElement",
-    "Half",
-    "IDENTITY",
-    "multiply",
-    "invert",
-    "power",
-    "is_idempotent",
-    "half_membership",
-    "natural_leq",
-    "natural_leq_witness",
-    "solve_left",
-    "solve_right",
-    "parse_element",
-    "format_element",
-    "parse_word",
-    "reduce_word",
-    "word_of",
-    "SymSet",
-    "Single",
-    "RowTail",
-    "ColTail",
-    "EMPTY",
-    "symset",
-    "member",
-    "members",
-    "atom_members",
-    "canonicalize",
-    "union",
-    "subset",
-    "SubsetWitness",
-    "intersection_empty",
-    "transpose",
-    "left_image",
-    "right_image",
-    "product",
-    "pointwise_witness",
-    "UnrepresentableProductError",
-    "parse_symset",
-    "format_symset",
-    "symset_to_records",
-    "symset_from_records",
-    "SetDescriptor",
-    "Full",
-    "CPlus",
-    "CMinus",
-    "CPlusRow",
-    "CPlusWindow",
-    "IdempotentChain",
-    "FinitelyGenerated",
-    "membership",
-    "BoundedMembership",
-    "contains",
-    "closure",
-    "ClosureResult",
-    "enumerate_members",
-    "idempotent_census",
-    "CensusResult",
-    "CensusVerdict",
-    "IdempotentFamily",
-    "FamilyCheck",
-    "idempotent_family",
-    "Neighborhood",
-    "NoIsolatingIdempotentError",
-    "finite_neighborhood",
-    "window_iso",
-    "anti_iso",
-    "parse_descriptor",
-    "format_descriptor",
-    "TopologyDescriptor",
-    "Discrete",
-    "PAdicPlus",
-    "PAdicMinus",
-    "WindowPAdic",
-    "CarrierError",
-    "carrier",
-    "is_isolated",
-    "basic_nbhd",
-    "separation_index",
-    "parse_topology",
-    "format_topology",
-    "ShiftSide",
-    "ContinuousAt",
-    "DiscontinuousAt",
-    "RefutedUpToBound",
-    "apply_shift",
-    "shift_image",
-    "check_shift_at",
-    "check_shift",
-    "ShiftCell",
-    "ShiftReport",
-    "check_joint_at",
-    "check_joint",
-    "window_joint_report",
-    "JointCell",
-    "JointReport",
-    "find_discontinuity",
-    "DiscontinuityWitness",
-    "equation_replay",
-    "EquationReplay",
-    "__version__",
-]
+__all__ = [*(name for names in _LAYERS.values() for name in names), "__version__"]
+
+
+def __getattr__(name):
+    layer = _LAZY.get(name)
+    if layer is not None:
+        value = getattr(import_module(f".{layer}", __name__), name)
+        globals()[name] = value  # later lookups are plain attribute hits
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,10 @@ input are byte-identical.  Exit codes: 0 for a successfully answered
 query (even when the answer is "false" or "none"), 1 for a verification
 suite that ran and failed, 2 for unusable input or violated
 preconditions.
+
+Beyond `element` and `symset`, each command imports the layers it uses
+inside its handler, so a process compiles only the modules its command
+needs; the verification suites live in `verify`.
 """
 
 from __future__ import annotations
@@ -29,57 +33,15 @@ from .element import (
     word_of,
 )
 from .symset import (
-    ColTail,
     RowTail,
     Single,
     format_symset,
-    intersection_empty,
     left_image,
-    member,
     parse_symset,
     product,
     right_image,
     subset,
     symset_to_records,
-)
-from .families import (
-    CMinus,
-    CPlus,
-    CPlusWindow,
-    FinitelyGenerated,
-    Full,
-    IdempotentChain,
-    closure,
-    contains,
-    enumerate_members,
-    finite_neighborhood,
-    format_descriptor,
-    idempotent_census,
-    idempotent_family,
-    membership,
-    parse_descriptor,
-)
-from .topology import (
-    Discrete,
-    PAdicMinus,
-    PAdicPlus,
-    WindowPAdic,
-    basic_nbhd,
-    carrier,
-    is_isolated,
-    parse_topology,
-    separation_index,
-)
-from .continuity import (
-    ContinuousAt,
-    DiscontinuousAt,
-    RefutedUpToBound,
-    ShiftSide,
-    check_joint,
-    check_joint_at,
-    check_shift_at,
-    equation_replay,
-    find_discontinuity,
 )
 
 DEFAULT_MAX_EXPONENT = 10**6
@@ -111,7 +73,9 @@ def _symset_arg(text: str, cap: int):
     return s
 
 
-def _side_arg(text: str) -> ShiftSide:
+def _side_arg(text: str):
+    from .continuity import ShiftSide
+
     return ShiftSide.LEFT if text == "left" else ShiftSide.RIGHT
 
 
@@ -123,6 +87,8 @@ def _edict(e: BicyclicElement) -> dict:
 
 
 def _verdict_dict(v) -> dict:
+    from .continuity import ContinuousAt, DiscontinuousAt, RefutedUpToBound
+
     if isinstance(v, ContinuousAt):
         return {"kind": "continuous", "modulus": [[t, k] for t, k in v.modulus]}
     if isinstance(v, DiscontinuousAt):
@@ -138,6 +104,8 @@ def _verdict_dict(v) -> dict:
 
 
 def _verdict_text(v) -> str:
+    from .continuity import ContinuousAt, DiscontinuousAt
+
     if isinstance(v, ContinuousAt):
         pairs = " ".join(f"t={t} k={k}" for t, k in v.modulus)
         return f"continuous {pairs}"
@@ -197,6 +165,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_enumerate(args):
+    from .families import enumerate_members, format_descriptor, parse_descriptor
+
     desc = parse_descriptor(args.descriptor)
     mem = enumerate_members(desc, args.bound)
     payload = {
@@ -209,6 +179,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_closure(args):
+    from .families import closure
+
     gens = [_element_arg(t, args.max_exponent) for t in args.generators]
     result = closure(gens, args.bound)
     mem = sorted(result.members)
@@ -225,6 +197,8 @@ def _cmd_closure(args):
 
 
 def _cmd_census(args):
+    from .families import format_descriptor, idempotent_census, parse_descriptor
+
     desc = parse_descriptor(args.descriptor)
     r = idempotent_census(desc, args.bound)
     payload = {
@@ -243,6 +217,8 @@ def _cmd_census(args):
 
 
 def _cmd_prop1_family(args):
+    from .families import idempotent_family
+
     u = _element_arg(args.u, args.max_exponent)
     v = _element_arg(args.v, args.max_exponent)
     fam = idempotent_family(u, v, prefix=args.count)
@@ -273,6 +249,8 @@ def _cmd_prop1_family(args):
 
 
 def _cmd_thm1_nbhd(args):
+    from .families import finite_neighborhood, format_descriptor, parse_descriptor
+
     desc = parse_descriptor(args.descriptor)
     x = _element_arg(args.element, args.max_exponent)
     nb = finite_neighborhood(desc, x, args.bound)
@@ -288,6 +266,8 @@ def _cmd_thm1_nbhd(args):
 
 
 def _cmd_nbhd(args):
+    from .topology import basic_nbhd, parse_topology
+
     top = parse_topology(args.topology)
     x = _element_arg(args.element, args.max_exponent)
     s = basic_nbhd(top, x, args.index)
@@ -325,6 +305,9 @@ def _cmd_subset(args):
 
 
 def _cmd_check_shift(args):
+    from .continuity import check_shift_at
+    from .topology import parse_topology
+
     top = parse_topology(args.topology)
     s = _element_arg(args.shift, args.max_exponent)
     x = _element_arg(args.point, args.max_exponent)
@@ -333,6 +316,9 @@ def _cmd_check_shift(args):
 
 
 def _cmd_check_joint(args):
+    from .continuity import ContinuousAt, check_joint_at
+    from .topology import basic_nbhd, parse_topology
+
     top = parse_topology(args.topology)
     x = _element_arg(args.x, args.max_exponent)
     y = _element_arg(args.y, args.max_exponent)
@@ -350,6 +336,9 @@ def _cmd_check_joint(args):
 
 
 def _cmd_find_discontinuity(args):
+    from .continuity import find_discontinuity
+    from .topology import parse_topology
+
     top = parse_topology(args.topology)
     w = find_discontinuity(top, _side_arg(args.side), args.bound, t_max=args.t_max, k_max=args.k_max)
     if w is None:
@@ -372,279 +361,17 @@ def _cmd_find_discontinuity(args):
 
 # --- verification suites -------------------------------------------------------
 
-
-def _suite_core_oracle(bound):
-    E = BicyclicElement
-    checks = []
-
-    def ck(label, ok):
-        checks.append((label, bool(ok)))
-
-    ck("product b^2a^3 * b^5a^1 = b^4a^1", multiply(E(2, 3), E(5, 1)) == E(4, 1))
-    ck("the word ab reduces to the identity", reduce_word("ab") == IDENTITY)
-    ck("the word ba is already normal", reduce_word("ba") == E(1, 1))
-    grid = [E(k, l) for k in range(4) for l in range(4)]
-    ck(
-        "closed-form product matches word rewriting on a 16x16 grid",
-        all(multiply(x, y) == reduce_word(word_of(x) + word_of(y)) for x in grid for y in grid),
-    )
-    ok = True
-    for x in grid:
-        acc = x
-        for n in range(2, 6):
-            acc = multiply(acc, x)
-            ok = ok and acc == power(x, n)
-    ck("power closed form matches repeated products up to n=5", ok)
-    ck(
-        "inversion reverses products on the grid",
-        all(invert(multiply(x, y)) == multiply(invert(y), invert(x)) for x in grid for y in grid),
-    )
-    ck(
-        "left division by a at a: solutions {1, ba}",
-        solve_left(E(0, 1), E(0, 1)) == frozenset({E(0, 0), E(1, 1)}),
-    )
-    ck(
-        "left division a*X = b^5 has the single solution b^6",
-        solve_left(E(0, 1), E(5, 0)) == frozenset({E(6, 0)}),
-    )
-    ck(
-        "right division X*b = a^5 has the single solution a^6",
-        solve_right(E(0, 5), E(1, 0)) == frozenset({E(0, 6)}),
-    )
-
-    def brute_left(a, c):
-        return frozenset(
-            E(m, n) for m in range(12) for n in range(12) if multiply(a, E(m, n)) == c
-        )
-
-    small = [E(k, l) for k in range(3) for l in range(3)]
-    ck(
-        "left division matches a brute scan on a 9x9 grid of instances",
-        all(solve_left(a, c) == brute_left(a, c) for a in small for c in small),
-    )
-    w = natural_leq_witness(E(5, 3), E(4, 2))
-    ck(
-        "natural order b^5a^3 <= b^4a^2 with idempotent witness b^3a^3",
-        w == E(3, 3) and multiply(E(4, 2), w) == E(5, 3),
-    )
-    return checks
-
-
-def _suite_prop1(bound):
-    E = BicyclicElement
-    checks = []
-    samples = [(0, 1, 0, 1), (0, 1, 2, 1), (1, 2, 0, 3), (2, 1, 1, 1), (0, 2, 3, 2)]
-    for i, k, j, l in samples:
-        u, v = E(i, i + k), E(j + l, j)
-        fam = idempotent_family(u, v, prefix=6)
-        mem = fam.first(6)
-        ok = (
-            len(set(mem)) == 6
-            and all(m.is_idempotent for m in mem)
-            and all(c.product_vu == c.member for c in fam.checks)
-            and len({c.product_uv for c in fam.checks}) == 1
-        )
-        gen_bound = max(24, fam.offset + 2 * fam.step + 2)
-        ok = ok and membership(FinitelyGenerated((u, v)), fam.member(1), bound=gen_bound).member
-        checks.append(
-            (
-                f"u={format_element(u)} v={format_element(v)}: distinct idempotent family "
-                f"offset={fam.offset} step={fam.step} inside the generated subsemigroup",
-                ok,
-            )
-        )
-    return checks
-
-
-def _suite_prop2(bound, p=2, m=0, n=2):
-    """Joint continuity of multiplication in one row-window topology."""
-    checks = []
-    b = 6 if bound is None else bound
-    top = WindowPAdic(p, m, n)
-    label = f"window:{p}:{m}:{n} bound={b}"
-    rep = check_joint(top, bound=b, t_max=3)
-    checks.append((f"{label}: every cell of the joint sweep is continuous", rep.all_continuous))
-    fourth = [c for c in rep.cells if c.case == "neither-isolated"]
-    ok = bool(fourth) and all(
-        subset(
-            product(
-                basic_nbhd(top, c.x, c.verdict.modulus_for(c.t)),
-                basic_nbhd(top, c.y, c.verdict.modulus_for(c.t)),
-            ),
-            basic_nbhd(top, multiply(c.x, c.y), c.t),
-        ).holds
-        for c in fourth
-        if isinstance(c.verdict, ContinuousAt)
-    )
-    checks.append(
-        (f"{label}: fourth-case product sets sit inside the target neighborhood", ok)
-    )
-    # exact neighborhood equality holds except when two isolated points
-    # multiply to a non-isolated one; there the image is the single
-    # product point sitting inside the infinite target tail
-    ok = all(
-        c.equality == (not (c.case == "both-isolated" and not is_isolated(top, multiply(c.x, c.y))))
-        for c in rep.cells
-    )
-    checks.append((f"{label}: neighborhood equality follows the isolation dichotomy", ok))
-    wanted = {"both-isolated", "left-isolated-only", "right-isolated-only", "neither-isolated"}
-    checks.append((f"{label}: all four isolation cases appear in the sweep", set(rep.cases()) == wanted))
-    return checks
-
-
-def _suite_thm1(bound):
-    E = BicyclicElement
-    b = 12 if bound is None else bound
-    checks = []
-    cases = [
-        (Full(), E(1, 2)),
-        (Full(), E(0, 0)),
-        (CPlus(), E(1, 3)),
-        (CMinus(), E(3, 1)),
-        (IdempotentChain(), E(2, 2)),
-    ]
-    for desc, x in cases:
-        nb = finite_neighborhood(desc, x, b)
-        ok = x in nb.elements and all(z.k < nb.i0 and z.l < nb.i0 for z in nb.elements)
-        ok = ok and all(
-            (E(k, l) in nb.elements) == contains(desc, E(k, l), b)
-            for k in range(nb.i0)
-            for l in range(nb.i0)
-        )
-        checks.append(
-            (
-                f"{format_descriptor(desc)} at {format_element(x)}: finite block below index {nb.i0}",
-                ok,
-            )
-        )
-    nb = finite_neighborhood(Full(), E(2, 1), b)
-    checks.append(("full-monoid block size is the square of its index", len(nb.elements) == nb.i0**2))
-    return checks
-
-
-def _suite_thm2(bound):
-    """Division replays: finite, fully verified solution sets."""
-    checks = []
-    b = 8 if bound is None else bound
-    tuples = [
-        (x0, y0, i0, j0)
-        for x0 in range(b + 1)
-        for y0 in range(b + 1)
-        for j0 in range(b + 1)
-        for i0 in range(j0 + 1)
-        if y0 - j0 > x0
-    ]
-    ok = True
-    count = 0
-    for x0, y0, i0, j0 in tuples:
-        r = equation_replay(x0, y0, i0, j0)
-        count += 1
-        ok = ok and (
-            r.distinguished in r.solutions
-            and len(r.solutions) == 1 + (y0 + i0 - j0)
-            and all(multiply(r.left_factor, X) == r.target for X in r.solutions)
-        )
-    checks.append(
-        (f"all {count} division replays with parameters <= {b}: finite verified solution sets", ok)
-    )
-    E = BicyclicElement
-
-    def brute_left(a, c):
-        return frozenset(
-            E(mm, nn) for mm in range(30) for nn in range(30) if multiply(a, E(mm, nn)) == c
-        )
-
-    small = [E(k, l) for k in range(4) for l in range(4)]
-    checks.append(
-        (
-            "left and right division match a brute scan over a 30x30 window",
-            all(solve_left(a, c) == brute_left(a, c) for a in small for c in small)
-            and all(
-                solve_right(c, a)
-                == frozenset(
-                    E(mm, nn)
-                    for mm in range(30)
-                    for nn in range(30)
-                    if multiply(E(mm, nn), a) == c
-                )
-                for a in small
-                for c in small
-            ),
-        )
-    )
-    return checks
-
-
-def _suite_hausdorff(bound):
-    """Topology sanity: nesting, self-membership, separation, discrete continuity."""
-    checks = []
-    b = 3 if bound is None else bound
-    grids = [
-        ("padic+:2", PAdicPlus(2), enumerate_members(CPlus(), b)),
-        ("padic+:3", PAdicPlus(3), enumerate_members(CPlus(), b)),
-        ("padic-:2", PAdicMinus(2), enumerate_members(CMinus(), b)),
-        ("padic-:3", PAdicMinus(3), enumerate_members(CMinus(), b)),
-        ("window:2:0:2", WindowPAdic(2, 0, 2), enumerate_members(CPlusWindow(0, 2), b + 1)),
-        ("window:3:1:3", WindowPAdic(3, 1, 3), enumerate_members(CPlusWindow(1, 3), b + 2)),
-        ("discrete:full", Discrete(Full()), enumerate_members(Full(), 2)),
-    ]
-    for label, top, pts in grids:
-        ok = all(
-            member(basic_nbhd(top, x, idx), x) for x in pts for idx in range(1, 5)
-        )
-        checks.append((f"{label}: every basic neighborhood contains its own point", ok))
-        ok = all(
-            subset(basic_nbhd(top, x, idx + 1), basic_nbhd(top, x, idx)).holds
-            for x in pts
-            for idx in range(1, 4)
-        )
-        checks.append((f"{label}: the neighborhood chain is nested", ok))
-        desc = carrier(top)
-        ok = all(contains(desc, x) for x in pts) and all(
-            contains(desc, multiply(x, y)) for x in pts for y in pts
-        )
-        checks.append((f"{label}: carrier holds the sample and its pairwise products", ok))
-        ok = True
-        for x in pts:
-            for y in pts:
-                if x == y:
-                    continue
-                idx = separation_index(top, x, y, 8)
-                if idx is None:
-                    ok = False
-                    continue
-                ok = ok and intersection_empty(basic_nbhd(top, x, idx), basic_nbhd(top, y, idx))
-        checks.append((f"{label}: {len(pts)} sampled points are pairwise separated", ok))
-    disc = Discrete(Full())
-    pts = enumerate_members(Full(), 2)
-    ok = all(
-        isinstance(check_shift_at(disc, side, s, x, t), ContinuousAt)
-        for side in (ShiftSide.LEFT, ShiftSide.RIGHT)
-        for s in pts
-        for x in pts
-        for t in (1, 2)
-    ) and all(
-        isinstance(check_joint_at(disc, x, y, 1), ContinuousAt) for x in pts for y in pts
-    )
-    checks.append(("discrete:full: every shift and joint continuity check passes", ok))
-    return checks
-
-
-_SUITES = {
-    "core-oracle": _suite_core_oracle,
-    "prop1": _suite_prop1,
-    "prop2": _suite_prop2,
-    "thm1": _suite_thm1,
-    "thm2": _suite_thm2,
-    "hausdorff": _suite_hausdorff,
-}
+# the sorted keys of `verify.SUITES`, spelled out so that only `verify` loads the suites
+SUITE_NAMES = ("core-oracle", "hausdorff", "prop1", "prop2", "thm1", "thm2")
 
 
 def _cmd_verify(args):
+    from .verify import SUITES
+
     if args.suite == "prop2":
-        checks = _suite_prop2(args.bound, p=args.p, m=args.m, n=args.n)
+        checks = SUITES["prop2"](args.bound, p=args.p, m=args.m, n=args.n)
     else:
-        checks = _SUITES[args.suite](args.bound)
+        checks = SUITES[args.suite](args.bound)
     passed = all(ok for _, ok in checks)
     lines = [("PASS " if ok else "FAIL ") + label for label, ok in checks]
     n_ok = sum(1 for _, ok in checks if ok)
@@ -791,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_find_discontinuity)
 
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--p", type=int, default=2, help="prime for the prop2 window sweep")
     p.add_argument("--m", type=int, default=0, help="first window row for prop2")

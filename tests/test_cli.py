@@ -467,6 +467,145 @@ _NBHD_JSON = (
     ' a^2}"}\n'
 )
 
+_VERIFY_CORE_ORACLE_TEXT = (
+    'PASS product b^2a^3 * b^5a^1 = b^4a^1\n'
+    'PASS the word ab reduces to the identity\n'
+    'PASS the word ba is already normal\n'
+    'PASS closed-form product matches word rewriting on a 16x16 grid\n'
+    'PASS power closed form matches repeated products up to n=5\n'
+    'PASS inversion reverses products on the grid\n'
+    'PASS left division by a at a: solutions {1, ba}\n'
+    'PASS left division a*X = b^5 has the single solution b^6\n'
+    'PASS right division X*b = a^5 has the single solution a^6\n'
+    'PASS left division matches a brute scan on a 9x9 grid of instances\n'
+    'PASS natural order b^5a^3 <= b^4a^2 with idempotent witness b^3a^3\n'
+    'suite core-oracle: 11/11 checks passed\n'
+)
+
+_VERIFY_CORE_ORACLE_JSON = (
+    '{"checks": [{"label": "product b^2a^3 * b^5a^1 = b^4a^1", "passed": true}, '
+    '{"label": "the word ab reduces to the identity", "passed": true}, '
+    '{"label": "the word ba is already normal", "passed": true}, '
+    '{"label": "closed-form product matches word rewriting on a 16x16 grid", "passed": true}, '
+    '{"label": "power closed form matches repeated products up to n=5", "passed": true}, '
+    '{"label": "inversion reverses products on the grid", "passed": true}, '
+    '{"label": "left division by a at a: solutions {1, ba}", "passed": true}, '
+    '{"label": "left division a*X = b^5 has the single solution b^6", "passed": true}, '
+    '{"label": "right division X*b = a^5 has the single solution a^6", "passed": true}, '
+    '{"label": "left division matches a brute scan on a 9x9 grid of instances", "passed": true}, '
+    '{"label": "natural order b^5a^3 <= b^4a^2 with idempotent witness b^3a^3", "passed": true}], "failed": 0, "passed": true, "suite": "core-oracle", "total": 11}\n'
+)
+
+_VERIFY_THM1_TEXT = (
+    'PASS full at b^1a^2: finite block below index 3\n'
+    'PASS full at b^0a^0: finite block below index 1\n'
+    'PASS cplus at b^1a^3: finite block below index 4\n'
+    'PASS cminus at b^3a^1: finite block below index 4\n'
+    'PASS idem at b^2a^2: finite block below index 3\n'
+    'PASS full-monoid block size is the square of its index\n'
+    'suite thm1: 6/6 checks passed\n'
+)
+
+_VERIFY_THM1_JSON = (
+    '{"checks": [{"label": "full at b^1a^2: finite block below index 3", "passed": true}, '
+    '{"label": "full at b^0a^0: finite block below index 1", "passed": true}, '
+    '{"label": "cplus at b^1a^3: finite block below index 4", "passed": true}, '
+    '{"label": "cminus at b^3a^1: finite block below index 4", "passed": true}, '
+    '{"label": "idem at b^2a^2: finite block below index 3", "passed": true}, '
+    '{"label": "full-monoid block size is the square of its index", "passed": true}], "failed": 0, "passed": true, "suite": "thm1", "total": 6}\n'
+)
+
+_VERIFY_THM2_TEXT = (
+    'PASS all 330 division replays with parameters <= 8: finite verified solution sets\n'
+    'PASS left and right division match a brute scan over a 30x30 window\n'
+    'suite thm2: 2/2 checks passed\n'
+)
+
+_VERIFY_THM2_JSON = (
+    '{"checks": [{"label": "all 330 division replays with parameters <= 8: finite verified solution sets", "passed": true}, '
+    '{"label": "left and right division match a brute scan over a 30x30 window", "passed": true}], "failed": 0, "passed": true, "suite": "thm2", "total": 2}\n'
+)
+
+_VERIFY_HAUSDORFF_TEXT = (
+    'PASS padic+:2: every basic neighborhood contains its own point\n'
+    'PASS padic+:2: the neighborhood chain is nested\n'
+    'PASS padic+:2: carrier holds the sample and its pairwise products\n'
+    'PASS padic+:2: 10 sampled points are pairwise separated\n'
+    'PASS padic+:3: every basic neighborhood contains its own point\n'
+    'PASS padic+:3: the neighborhood chain is nested\n'
+    'PASS padic+:3: carrier holds the sample and its pairwise products\n'
+    'PASS padic+:3: 10 sampled points are pairwise separated\n'
+    'PASS padic-:2: every basic neighborhood contains its own point\n'
+    'PASS padic-:2: the neighborhood chain is nested\n'
+    'PASS padic-:2: carrier holds the sample and its pairwise products\n'
+    'PASS padic-:2: 10 sampled points are pairwise separated\n'
+    'PASS padic-:3: every basic neighborhood contains its own point\n'
+    'PASS padic-:3: the neighborhood chain is nested\n'
+    'PASS padic-:3: carrier holds the sample and its pairwise products\n'
+    'PASS padic-:3: 10 sampled points are pairwise separated\n'
+    'PASS window:2:0:2: every basic neighborhood contains its own point\n'
+    'PASS window:2:0:2: the neighborhood chain is nested\n'
+    'PASS window:2:0:2: carrier holds the sample and its pairwise products\n'
+    'PASS window:2:0:2: 12 sampled points are pairwise separated\n'
+    'PASS window:3:1:3: every basic neighborhood contains its own point\n'
+    'PASS window:3:1:3: the neighborhood chain is nested\n'
+    'PASS window:3:1:3: carrier holds the sample and its pairwise products\n'
+    'PASS window:3:1:3: 12 sampled points are pairwise separated\n'
+    'PASS discrete:full: every basic neighborhood contains its own point\n'
+    'PASS discrete:full: the neighborhood chain is nested\n'
+    'PASS discrete:full: carrier holds the sample and its pairwise products\n'
+    'PASS discrete:full: 9 sampled points are pairwise separated\n'
+    'PASS discrete:full: every shift and joint continuity check passes\n'
+    'suite hausdorff: 29/29 checks passed\n'
+)
+
+_VERIFY_HAUSDORFF_JSON = (
+    '{"checks": [{"label": "padic+:2: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "padic+:2: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "padic+:2: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "padic+:2: 10 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "padic+:3: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "padic+:3: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "padic+:3: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "padic+:3: 10 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "padic-:2: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "padic-:2: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "padic-:2: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "padic-:2: 10 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "padic-:3: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "padic-:3: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "padic-:3: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "padic-:3: 10 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "window:2:0:2: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "window:2:0:2: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "window:2:0:2: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "window:2:0:2: 12 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "window:3:1:3: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "window:3:1:3: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "window:3:1:3: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "window:3:1:3: 12 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "discrete:full: every basic neighborhood contains its own point", "passed": true}, '
+    '{"label": "discrete:full: the neighborhood chain is nested", "passed": true}, '
+    '{"label": "discrete:full: carrier holds the sample and its pairwise products", "passed": true}, '
+    '{"label": "discrete:full: 9 sampled points are pairwise separated", "passed": true}, '
+    '{"label": "discrete:full: every shift and joint continuity check passes", "passed": true}], "failed": 0, "passed": true, "suite": "hausdorff", "total": 29}\n'
+)
+
+_VERIFY_PROP2_TEXT = (
+    'PASS window:2:0:2 bound=6: every cell of the joint sweep is continuous\n'
+    'PASS window:2:0:2 bound=6: fourth-case product sets sit inside the target neighborhood\n'
+    'PASS window:2:0:2 bound=6: neighborhood equality follows the isolation dichotomy\n'
+    'PASS window:2:0:2 bound=6: all four isolation cases appear in the sweep\n'
+    'suite prop2: 4/4 checks passed\n'
+)
+
+_VERIFY_PROP2_JSON = (
+    '{"checks": [{"label": "window:2:0:2 bound=6: every cell of the joint sweep is continuous", "passed": true}, '
+    '{"label": "window:2:0:2 bound=6: fourth-case product sets sit inside the target neighborhood", "passed": true}, '
+    '{"label": "window:2:0:2 bound=6: neighborhood equality follows the isolation dichotomy", "passed": true}, '
+    '{"label": "window:2:0:2 bound=6: all four isolation cases appear in the sweep", "passed": true}], "failed": 0, "passed": true, "suite": "prop2", "total": 4}\n'
+)
+
 GOLDEN = {
     "closure": (["closure", "b^0a^1", "b^2a^0", "--bound", "12"], _CLOSURE_TEXT, _CLOSURE_JSON),
     "census": (["census", "gen:b^0a^2,b^1a^1", "--bound", "10"], _CENSUS_TEXT, _CENSUS_JSON),
@@ -476,6 +615,15 @@ GOLDEN = {
         _THM1_NBHD_JSON,
     ),
     "verify-prop1": (["verify", "prop1"], _VERIFY_PROP1_TEXT, _VERIFY_PROP1_JSON),
+    "verify-core-oracle": (["verify", "core-oracle"], _VERIFY_CORE_ORACLE_TEXT, _VERIFY_CORE_ORACLE_JSON),
+    "verify-thm1": (["verify", "thm1"], _VERIFY_THM1_TEXT, _VERIFY_THM1_JSON),
+    "verify-thm2": (["verify", "thm2"], _VERIFY_THM2_TEXT, _VERIFY_THM2_JSON),
+    "verify-hausdorff": (["verify", "hausdorff"], _VERIFY_HAUSDORFF_TEXT, _VERIFY_HAUSDORFF_JSON),
+    "verify-prop2": (
+        ["verify", "prop2", "--p", "2", "--m", "0", "--n", "2", "--bound", "6"],
+        _VERIFY_PROP2_TEXT,
+        _VERIFY_PROP2_JSON,
+    ),
     "image-left": (
         ["image", "--side", "left", "b^2a^33", "{b^(0+1t) a^3} | {b^1 a^(0+2t)}"],
         _IMAGE_LEFT_TEXT,
@@ -512,6 +660,25 @@ def test_golden_output_bytes(capsys, name):
     assert run(capsys, *argv, "--format", "json") == (0, doc, "")
 
 
+_VERIFY_UNKNOWN_SUITE_ERR = (
+    'usage: bicyclic verify [-h] [--format {text,json}]\n'
+    '                       [--max-exponent MAX_EXPONENT] [--bound BOUND] [--p P]\n'
+    '                       [--m M] [--n N]\n'
+    '                       {core-oracle,hausdorff,prop1,prop2,thm1,thm2}\n'
+    "bicyclic verify: error: argument suite: invalid choice: 'nope' (choose from "
+    "'core-oracle', 'hausdorff', 'prop1', 'prop2', 'thm1', 'thm2')\n"
+)
+
+
+def test_verify_unknown_suite_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage lines to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert (out.out, out.err) == ("", _VERIFY_UNKNOWN_SUITE_ERR)
+
+
 def test_module_entry_point():
     r = subprocess.run(
         [sys.executable, "-m", "bicyclic", "mul", "b^2a^3", "b^5a^1"],
@@ -519,3 +686,53 @@ def test_module_entry_point():
         text=True,
     )
     assert r.returncode == 0 and r.stdout == "b^4a^1\n"
+
+
+# --- what each command loads ----------------------------------------------------------------------
+
+_BASE = ["bicyclic", "bicyclic.cli", "bicyclic.element", "bicyclic.symset"]
+_FAMILIES = _BASE + ["bicyclic.families"]
+_CONTINUITY = _FAMILIES + ["bicyclic.continuity", "bicyclic.topology"]
+
+_FOOTPRINT = [
+    (["mul", "b^2a^3", "b^5a^1"], _BASE),
+    (["pow", "b^1a^3", "4"], _BASE),
+    (["inv", "b^2a^5"], _BASE),
+    (["leq", "b^5a^3", "b^4a^2"], _BASE),
+    (["solve", "--side", "left", "b^0a^1", "b^5a^0"], _BASE),
+    (["reduce", "bbabaa"], _BASE),
+    (["image", "--side", "left", "b^2a^1", "{b^3 a^(5+4t)}"], _BASE),
+    (["product", "{b^0 a^(0+4t)}", "{b^0 a^(0+9t)}"], _BASE),
+    (["subset", "{b^1 a^(4+8t)}", "{b^1 a^(0+2t)}"], _BASE),
+    (["enumerate", "cplus-window:1:2", "--bound", "2"], _FAMILIES),
+    (["closure", "b^2a^2", "--bound", "4"], _FAMILIES),
+    (["census", "full", "--bound", "5"], _FAMILIES),
+    (["thm1-nbhd", "full", "b^1a^2", "--bound", "10"], _FAMILIES),
+    (["prop1-family", "b^1a^3", "b^3a^0", "--count", "2"], _FAMILIES),
+    (["nbhd", "padic+:2", "b^1a^3", "2"], _FAMILIES + ["bicyclic.topology"]),
+    (["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "2"], _CONTINUITY),
+    (["check-joint", "window:2:0:2", "b^0a^3", "b^1a^4", "1"], _CONTINUITY),
+    (["find-discontinuity", "padic+:2", "--side", "left", "--bound", "2"], _CONTINUITY),
+    (["verify", "core-oracle"], _CONTINUITY + ["bicyclic.verify"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _FOOTPRINT, ids=[argv[0] for argv, _ in _FOOTPRINT])
+def test_command_loads_only_the_layers_it_uses(argv, loaded):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from bicyclic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('bicyclic'))))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == f"0 {json.dumps(sorted(loaded))}\n"
+
+
+def test_suite_names_match_the_suite_table():
+    from bicyclic.cli import SUITE_NAMES
+    from bicyclic.verify import SUITES
+
+    assert SUITE_NAMES == tuple(sorted(SUITES))
