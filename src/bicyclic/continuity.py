@@ -9,17 +9,25 @@ index t asks for a source index k with
 and joint continuity at (x, y) asks the same for the elementwise product
 of two basic neighborhoods against a neighborhood of x*y.  Because basic
 neighborhoods only refine as the index grows (the base point never moves,
-only the progression step changes), each question is monotone in k and
-decidable by one exact subset test per candidate k.
+only the progression step changes), each question is monotone in k.
+
+The least k that can work is known before any test.  A point's
+neighborhoods do not depend on the index, so when every source
+neighborhood is a point the candidate is k0 = 1.  When a source
+neighborhood is a tail of step p^k, its image contains an infinite
+slope-one tail of step p^k, which fits inside a target of step p^t only
+when p^t divides p^k; so the candidate is k0 = t.  A cell is therefore
+decided by one image and one exact subset test at k0, and when that test
+holds, k0 is the minimal modulus.
 
 Failure is certified structurally, not by giving up: every image of a
 progression tail contains unavoidable tails whose line (the fixed
 exponent) and value class do not depend on k.  If such a tail runs along
 a different line than every target neighborhood, or sits in a congruence
 class mod p^t disjoint from the target, no k can ever work, and the
-verdict carries one concrete escaping element per small k.  A bounded
-search that merely fails without such a certificate is reported honestly
-as RefutedUpToBound.
+verdict carries one concrete escaping element per small k.  Without such
+a certificate the search goes on past k0, and a search that merely fails
+is reported honestly as RefutedUpToBound.
 """
 
 from __future__ import annotations
@@ -209,6 +217,24 @@ def _witnesses(images: Callable, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
+def _decide(top, target, t, k0, image_at_k0, images, probes, k_max, witness_bound):
+    """One subset test at the least candidate index k0, then the certificate.
+
+    When the test fails, the structural reason decides the cell; only a
+    cell without one searches on from k0 + 1.  When k0 > k_max the test
+    is skipped, so the bound keeps its meaning.
+    """
+    if k0 <= k_max and subset(image_at_k0(), target).holds:
+        return ContinuousAt(((t, k0),))
+    reason = _structural_reason(probes(), target, t, getattr(top, "p", None))
+    if reason is not None:
+        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason)
+    for k in range(k0 + 1, k_max + 1):
+        if subset(images(k), target).holds:
+            return ContinuousAt(((t, k),))
+    return RefutedUpToBound(k_max)
+
+
 # --- shift continuity ----------------------------------------------------------
 
 
@@ -221,28 +247,41 @@ def check_shift_at(
     k_max: int = DEFAULT_K_MAX,
     witness_bound: int = DEFAULT_WITNESS_BOUND,
 ):
-    """Decide continuity of the shift by s at the point x for target index t."""
+    """Decide continuity of the shift by s at the point x for target index t.
+
+    The source neighborhood is built once, at index t: a point's
+    neighborhood is the same at every index, so k0 = 1 there, and a tail
+    needs k0 = t (see the module docstring).  One subset test at k0
+    decides every continuous cell with its minimal modulus.
+    """
     if not contains(carrier(top), s):
         raise ValueError(f"shift element {s} is outside the carrier")
     y = apply_shift(side, s, x)
     target = basic_nbhd(top, y, t)  # also validates y
-    source_shape = basic_nbhd(top, x, 1)  # also validates x
-    atom = source_shape.atoms[0]
-    parts = []
-    if not isinstance(atom, Single):
+    source = basic_nbhd(top, x, t)  # also validates x
+    atom = source.atoms[0]
+    k0 = 1 if isinstance(atom, Single) else t
+
+    def probes():
+        if isinstance(atom, Single):
+            return []
         mapper = (
             (lambda m: multiply(s, m)) if side is ShiftSide.LEFT else (lambda m: multiply(m, s))
         )
         hint = s.k + s.l + x.k + x.l + y.k + y.l
-        parts.append(_tail_probe(mapper, atom, hint))
-    reason = _structural_reason(parts, target, t, getattr(top, "p", None))
-    if reason is not None:
-        images = lambda k: shift_image(side, s, basic_nbhd(top, x, k))
-        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason)
-    for k in range(1, k_max + 1):
-        if subset(shift_image(side, s, basic_nbhd(top, x, k)), target).holds:
-            return ContinuousAt(((t, k),))
-    return RefutedUpToBound(k_max)
+        return [_tail_probe(mapper, atom, hint)]
+
+    return _decide(
+        top,
+        target,
+        t,
+        k0,
+        lambda: shift_image(side, s, source),
+        lambda k: shift_image(side, s, basic_nbhd(top, x, k)),
+        probes,
+        k_max,
+        witness_bound,
+    )
 
 
 @dataclass(frozen=True)
@@ -307,27 +346,42 @@ def check_joint_at(
     k_max: int = DEFAULT_K_MAX,
     witness_bound: int = DEFAULT_WITNESS_BOUND,
 ):
-    """Decide joint continuity of multiplication at the pair (x, y)."""
+    """Decide joint continuity of multiplication at the pair (x, y).
+
+    Both source neighborhoods are built once, at index t.  k0 = 1 when
+    both are points and k0 = t when either is a tail, as for shifts; one
+    product and one subset test at k0 decide every continuous cell with
+    its minimal modulus.
+    """
     z = multiply(x, y)
     target = basic_nbhd(top, z, t)
-    ax = basic_nbhd(top, x, 1).atoms[0]
-    ay = basic_nbhd(top, y, 1).atoms[0]
-    hint = x.k + x.l + y.k + y.l + z.k + z.l
-    parts = []
-    if not isinstance(ay, Single):
-        parts.append(_tail_probe(lambda m: multiply(x, m), ay, hint))
-    if not isinstance(ax, Single):
-        parts.append(_tail_probe(lambda m: multiply(m, y), ax, hint))
-    if not isinstance(ax, Single) and not isinstance(ay, Single):
-        parts.append(_diagonal_probe(ax, ay, hint))
-    reason = _structural_reason(parts, target, t, getattr(top, "p", None))
-    if reason is not None:
-        images = lambda k: product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
-        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason)
-    for k in range(1, k_max + 1):
-        if subset(product(basic_nbhd(top, x, k), basic_nbhd(top, y, k)), target).holds:
-            return ContinuousAt(((t, k),))
-    return RefutedUpToBound(k_max)
+    nx = basic_nbhd(top, x, t)
+    ny = basic_nbhd(top, y, t)
+    ax, ay = nx.atoms[0], ny.atoms[0]
+    k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
+
+    def probes():
+        hint = x.k + x.l + y.k + y.l + z.k + z.l
+        parts = []
+        if not isinstance(ay, Single):
+            parts.append(_tail_probe(lambda m: multiply(x, m), ay, hint))
+        if not isinstance(ax, Single):
+            parts.append(_tail_probe(lambda m: multiply(m, y), ax, hint))
+        if not isinstance(ax, Single) and not isinstance(ay, Single):
+            parts.append(_diagonal_probe(ax, ay, hint))
+        return parts
+
+    return _decide(
+        top,
+        target,
+        t,
+        k0,
+        lambda: product(nx, ny),
+        lambda k: product(basic_nbhd(top, x, k), basic_nbhd(top, y, k)),
+        probes,
+        k_max,
+        witness_bound,
+    )
 
 
 def _isolation_case(top, x, y) -> str:

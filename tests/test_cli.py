@@ -187,7 +187,6 @@ def test_carrier_violation_is_usage_error(capsys):
 def test_max_exponent_cap(capsys):
     code, _, err = run(capsys, "mul", "b^2000000a^1", "1")
     assert code == 2 and "max-exponent" in err
-    code, _, _ = run(capsys, "--", "mul") if False else (0, "", "")
     code, out, _ = run(capsys, "mul", "--max-exponent", "3000000", "b^2000000a^1", "1")
     assert code == 0
 
@@ -606,6 +605,57 @@ _VERIFY_PROP2_JSON = (
     '{"label": "window:2:0:2 bound=6: all four isolation cases appear in the sweep", "passed": true}], "failed": 0, "passed": true, "suite": "prop2", "total": 4}\n'
 )
 
+_CHECK_SHIFT_ESCAPES_TEXT = (
+    'discontinuous t=1\n'
+    'reason: the image always contains a tail along row 0, but target neighborhoods live along row 1\n'
+    '  k=1 escape=b^0a^2\n  k=2 escape=b^0a^4\n  k=3 escape=b^0a^8\n  k=4 escape=b^0a^16\n'
+)
+_CHECK_SHIFT_ESCAPES_JSON = (
+    '{"verdict": {"counterexamples": [[1, {"k": 0, "l": 2, "text": "b^0a^2"}], '
+    '[2, {"k": 0, "l": 4, "text": "b^0a^4"}], [3, {"k": 0, "l": 8, "text": "b^0a^8"}], '
+    '[4, {"k": 0, "l": 16, "text": "b^0a^16"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along row 0, but target neighborhoods live along row 1", '
+    '"target_index": 1}}\n'
+)
+
+_CHECK_SHIFT_TAIL_MODULUS_TEXT = 'continuous t=3 k=3\n'
+_CHECK_SHIFT_TAIL_MODULUS_JSON = '{"verdict": {"kind": "continuous", "modulus": [[3, 3]]}}\n'
+
+_CHECK_SHIFT_REFUTED_TEXT = 'refuted-up-to-bound k_max=2\n'
+_CHECK_SHIFT_REFUTED_JSON = '{"verdict": {"kind": "refuted-up-to-bound", "probe_bound": 2}}\n'
+
+_CHECK_JOINT_EQUALITY_TEXT = 'continuous t=2 k=2 equality=true\n'
+_CHECK_JOINT_EQUALITY_JSON = '{"equality": true, "verdict": {"kind": "continuous", "modulus": [[2, 2]]}}\n'
+
+_CHECK_JOINT_DISCONTINUOUS_TEXT = (
+    'discontinuous t=1\n'
+    'reason: the image always contains a tail along row 0, but target neighborhoods live along row 3\n'
+    '  k=1 escape=b^0a^4\n  k=2 escape=b^0a^4\n  k=3 escape=b^0a^8\n  k=4 escape=b^0a^16\n'
+)
+_CHECK_JOINT_DISCONTINUOUS_JSON = (
+    '{"verdict": {"counterexamples": [[1, {"k": 0, "l": 4, "text": "b^0a^4"}], '
+    '[2, {"k": 0, "l": 4, "text": "b^0a^4"}], [3, {"k": 0, "l": 8, "text": "b^0a^8"}], '
+    '[4, {"k": 0, "l": 16, "text": "b^0a^16"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along row 0, but target neighborhoods live along row 3", '
+    '"target_index": 1}}\n'
+)
+
+_FIND_DISCONTINUITY_FOUND_TEXT = (
+    'found s=b^1a^1 x=b^0a^0 t=1\n'
+    'reason: the image always contains a tail along row 0, but target neighborhoods live along row 1\n'
+)
+_FIND_DISCONTINUITY_FOUND_JSON = (
+    '{"found": true, "witness": {"s": {"k": 1, "l": 1, "text": "b^1a^1"}, "t": 1, '
+    '"verdict": {"counterexamples": [[1, {"k": 0, "l": 2, "text": "b^0a^2"}], '
+    '[2, {"k": 0, "l": 4, "text": "b^0a^4"}], [3, {"k": 0, "l": 8, "text": "b^0a^8"}], '
+    '[4, {"k": 0, "l": 16, "text": "b^0a^16"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along row 0, but target neighborhoods live along row 1", '
+    '"target_index": 1}, "x": {"k": 0, "l": 0, "text": "b^0a^0"}}}\n'
+)
+
+_FIND_DISCONTINUITY_NONE_TEXT = 'none\n'
+_FIND_DISCONTINUITY_NONE_JSON = '{"found": false, "witness": null}\n'
+
 GOLDEN = {
     "closure": (["closure", "b^0a^1", "b^2a^0", "--bound", "12"], _CLOSURE_TEXT, _CLOSURE_JSON),
     "census": (["census", "gen:b^0a^2,b^1a^1", "--bound", "10"], _CENSUS_TEXT, _CENSUS_JSON),
@@ -650,6 +700,41 @@ GOLDEN = {
         _SUBSET_FALSE_JSON,
     ),
     "nbhd": (["nbhd", "padic-:3", "b^5a^2", "2"], _NBHD_TEXT, _NBHD_JSON),
+    "check-shift-escapes": (
+        ["check-shift", "padic+:2", "--side", "right", "b^1a^1", "b^0a^0", "1"],
+        _CHECK_SHIFT_ESCAPES_TEXT,
+        _CHECK_SHIFT_ESCAPES_JSON,
+    ),
+    "check-shift-tail-modulus": (
+        ["check-shift", "padic-:3", "--side", "left", "b^2a^1", "b^4a^0", "3"],
+        _CHECK_SHIFT_TAIL_MODULUS_TEXT,
+        _CHECK_SHIFT_TAIL_MODULUS_JSON,
+    ),
+    "check-shift-refuted": (
+        ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^1a^2", "3", "--k-max", "2"],
+        _CHECK_SHIFT_REFUTED_TEXT,
+        _CHECK_SHIFT_REFUTED_JSON,
+    ),
+    "check-joint-equality": (
+        ["check-joint", "window:2:0:2", "b^1a^1", "b^0a^5", "2"],
+        _CHECK_JOINT_EQUALITY_TEXT,
+        _CHECK_JOINT_EQUALITY_JSON,
+    ),
+    "check-joint-discontinuous": (
+        ["check-joint", "padic+:2", "b^0a^0", "b^3a^3", "1"],
+        _CHECK_JOINT_DISCONTINUOUS_TEXT,
+        _CHECK_JOINT_DISCONTINUOUS_JSON,
+    ),
+    "find-discontinuity-found": (
+        ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "3", "--t-max", "2"],
+        _FIND_DISCONTINUITY_FOUND_TEXT,
+        _FIND_DISCONTINUITY_FOUND_JSON,
+    ),
+    "find-discontinuity-none": (
+        ["find-discontinuity", "window:2:0:2", "--side", "left", "--bound", "3"],
+        _FIND_DISCONTINUITY_NONE_TEXT,
+        _FIND_DISCONTINUITY_NONE_JSON,
+    ),
 }
 
 

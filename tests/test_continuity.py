@@ -13,6 +13,7 @@ from bicyclic import (
     PAdicPlus,
     RefutedUpToBound,
     ShiftSide,
+    Single,
     WindowPAdic,
     apply_shift,
     basic_nbhd,
@@ -21,6 +22,7 @@ from bicyclic import (
     check_joint_at,
     check_shift,
     check_shift_at,
+    continuity,
     enumerate_members,
     equation_replay,
     find_discontinuity,
@@ -28,6 +30,8 @@ from bicyclic import (
     is_isolated,
     member,
     multiply,
+    parse_topology,
+    product,
     shift_image,
     subset,
     window_joint_report,
@@ -220,6 +224,129 @@ def test_no_refutations_in_scope():
             assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
     rep = check_joint(WindowPAdic(2, 0, 1), bound=3, t_max=2)
     assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
+
+
+# --- the derived modulus against the old k-search --------------------------------------
+
+_DIFF_TOPOLOGIES = (
+    "padic+:2",
+    "padic+:3",
+    "padic-:2",
+    "padic-:3",
+    "window:2:0:2",
+    "window:3:1:3",
+    "discrete:gen:b^0a^1,b^2a^0",
+)
+
+
+def _reference_decide(top, target, t, shapes, probes, images, k_max):
+    """The search the checker ran before the modulus was derived: probes, then k = 1..k_max."""
+    parts = probes(shapes)
+    reason = continuity._structural_reason(parts, target, t, getattr(top, "p", None))
+    if reason is not None:
+        witnesses = continuity._witnesses(images, target, continuity.DEFAULT_WITNESS_BOUND)
+        return DiscontinuousAt(t, witnesses, reason)
+    for k in range(1, k_max + 1):
+        if subset(images(k), target).holds:
+            return ContinuousAt(((t, k),))
+    return RefutedUpToBound(k_max)
+
+
+def _reference_shift(top, side, s, x, t, k_max):
+    y = apply_shift(side, s, x)
+    target = basic_nbhd(top, y, t)
+    atom = basic_nbhd(top, x, 1).atoms[0]
+
+    def probes(atom):
+        if isinstance(atom, Single):
+            return []
+        mapper = (lambda m: multiply(s, m)) if side is LEFT else (lambda m: multiply(m, s))
+        hint = s.k + s.l + x.k + x.l + y.k + y.l
+        return [continuity._tail_probe(mapper, atom, hint)]
+
+    images = lambda k: shift_image(side, s, basic_nbhd(top, x, k))
+    return _reference_decide(top, target, t, atom, probes, images, k_max)
+
+
+def _reference_joint(top, x, y, t, k_max):
+    z = multiply(x, y)
+    target = basic_nbhd(top, z, t)
+    ax = basic_nbhd(top, x, 1).atoms[0]
+    ay = basic_nbhd(top, y, 1).atoms[0]
+
+    def probes(shapes):
+        ax, ay = shapes
+        hint = x.k + x.l + y.k + y.l + z.k + z.l
+        parts = []
+        if not isinstance(ay, Single):
+            parts.append(continuity._tail_probe(lambda m: multiply(x, m), ay, hint))
+        if not isinstance(ax, Single):
+            parts.append(continuity._tail_probe(lambda m: multiply(m, y), ax, hint))
+        if not isinstance(ax, Single) and not isinstance(ay, Single):
+            parts.append(continuity._diagonal_probe(ax, ay, hint))
+        return parts
+
+    images = lambda k: product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
+    return _reference_decide(top, target, t, (ax, ay), probes, images, k_max)
+
+
+def _cells(top, bound, t_max):
+    pts = _pts(top, bound)
+    for a in pts:
+        for b in pts:
+            for t in range(1, t_max + 1):
+                for side in (LEFT, RIGHT, None):
+                    yield side, a, b, t
+
+
+def _decide_both(top, side, a, b, t, k_max=continuity.DEFAULT_K_MAX):
+    if side is None:
+        return check_joint_at(top, a, b, t, k_max), _reference_joint(top, a, b, t, k_max)
+    return check_shift_at(top, side, a, b, t, k_max), _reference_shift(top, side, a, b, t, k_max)
+
+
+@pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
+def test_derived_modulus_matches_the_k_search(text):
+    top = parse_topology(text)
+    deepest = None  # the continuous cell at t = 4 with the largest modulus
+    for side, a, b, t in _cells(top, 4, 4):
+        new, ref = _decide_both(top, side, a, b, t)
+        assert new == ref, (text, side, a, b, t)
+        if t == 4 and isinstance(new, ContinuousAt):
+            if deepest is None or new.modulus_for(4) > deepest[0]:
+                deepest = (new.modulus_for(4), side, a, b)
+    assert deepest is not None
+    _, side, a, b = deepest
+    for k_max in range(0, 5):
+        new, ref = _decide_both(top, side, a, b, 4, k_max)
+        assert new == ref, (text, side, a, b, k_max)
+
+
+def test_subset_calls_per_cell(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return subset(*args)
+
+    monkeypatch.setattr(continuity, "subset", counting)
+    top = PAdicPlus(2)
+    seen = set()
+    for side, a, b, t in _cells(top, 3, 4):
+        calls.clear()
+        if side is None:
+            verdict = check_joint_at(top, a, b, t)
+        else:
+            verdict = check_shift_at(top, side, a, b, t)
+        if isinstance(verdict, ContinuousAt):
+            assert len(calls) == 1, (side, a, b, t)
+        else:
+            assert isinstance(verdict, DiscontinuousAt), (side, a, b, t)
+            assert len(calls) == 1 + continuity.DEFAULT_WITNESS_BOUND, (side, a, b, t)
+        modulus = verdict.modulus_for(t) if isinstance(verdict, ContinuousAt) else None
+        seen.add((type(verdict).__name__, modulus))
+    # the sweep exercises point cells (k0 = 1), tail cells (k0 = t) and certificates
+    assert {("ContinuousAt", 1), ("ContinuousAt", 4), ("DiscontinuousAt", None)} <= seen
 
 
 # --- witness scan ------------------------------------------------------------------------
