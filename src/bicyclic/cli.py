@@ -316,20 +316,16 @@ def _cmd_check_shift(args):
 
 
 def _cmd_check_joint(args):
-    from .continuity import ContinuousAt, check_joint_at
-    from .topology import basic_nbhd, parse_topology
+    from .continuity import _joint_with_equality
+    from .topology import parse_topology
 
     top = parse_topology(args.topology)
     x = _element_arg(args.x, args.max_exponent)
     y = _element_arg(args.y, args.max_exponent)
-    v = check_joint_at(top, x, y, args.t, k_max=args.k_max)
+    v, equal = _joint_with_equality(top, x, y, args.t, args.k_max)
     payload = {"verdict": _verdict_dict(v)}
     text = _verdict_text(v)
-    if isinstance(v, ContinuousAt):
-        k = v.modulus_for(args.t)
-        img = product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
-        target = basic_nbhd(top, multiply(x, y), args.t)
-        equal = subset(target, img).holds
+    if equal is not None:
         payload["equality"] = equal
         text += f" equality={str(equal).lower()}"
     return payload, text, 0
@@ -528,10 +524,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sweep_bounds(args):
+    """Reject a negative --k-max and a --t-max below 1; --k-max 0 skips the subset test."""
+    for name, low in (("k_max", 0), ("t_max", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sweep_bounds(args)
         payload, text, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,29 +20,30 @@ when p^t divides p^k; so the candidate is k0 = t.  A cell is therefore
 decided by one image and one exact subset test at k0, and when that test
 holds, k0 is the minimal modulus.
 
-Failure is certified structurally, not by giving up: every image of a
-progression tail contains unavoidable tails whose line (the fixed
-exponent) and value class do not depend on k.  If such a tail runs along
-a different line than every target neighborhood, or sits in a congruence
-class mod p^t disjoint from the target, no k can ever work, and the
-verdict carries one concrete escaping element per small k.  Without such
-a certificate the search goes on past k0, and a search that merely fails
-is reported honestly as RefutedUpToBound.
+Failure is certified structurally, not by giving up: the image of a
+progression tail contains a far tail, the image of its high end and the
+last atom that _left_image_atom or _right_image_atom emits for it, whose
+line (the fixed exponent) does not depend on k.  If it runs along another
+line than the target, no k can ever work, and the verdict carries one
+concrete escaping element per small k.  Without such a certificate the
+search goes on past k0, and a search that merely fails is reported
+honestly as RefutedUpToBound.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .element import BicyclicElement, multiply, solve_left
 from .families import contains, enumerate_members
 from .symset import (
-    ColTail,
-    RowTail,
     Single,
     SymSet,
+    _left_image_atom,
+    _right_image_atom,
+    _tail_line,
     left_image,
     product,
     right_image,
@@ -127,86 +128,49 @@ def shift_image(side: ShiftSide, s: BicyclicElement, sets: SymSet) -> SymSet:
 # --- structural analysis ------------------------------------------------------
 
 
-def _member_at(atom, t: int) -> BicyclicElement:
-    if isinstance(atom, RowTail):
-        return BicyclicElement(atom.row, atom.base + atom.step * t)
-    return BicyclicElement(atom.base + atom.step * t, atom.col)
+def _structural_reason(far_tails, target: SymSet) -> Optional[str]:
+    """A far tail off the target's line, which rules out every source index, or None.
 
-
-def _param_value(atom, m: BicyclicElement) -> int:
-    return m.l if isinstance(atom, RowTail) else m.k
-
-
-def _tail_probe(mapper: Callable, atom, hint: int):
-    """Line and value class of the image of the atom's high end.
-
-    Far enough up the tail the multiplication case is constant, so the
-    image moves one coordinate with slope one and pins the other; both
-    facts are asserted.  The returned class representative does not depend
-    on the tail's step, so it holds for the neighborhood at every index.
+    No other reason is needed on the supported topologies.  Along a tail,
+    one argument of the min in the product law runs up with slope one;
+    past the other argument the image moves along one line, and below it
+    the image is off that line.  So a far tail on the shifted point's line
+    continues the point's own progression, inside the target of the same
+    step.  A tail source never maps to an isolated point, a window point of
+    second exponent at most n: a product's second exponent is at least its
+    right factor's, and at least its left factor's when the right factor
+    is a window point (first exponent at most n).  Any other case falls
+    through to the search.
     """
-    t0 = hint + 32
-    m1, m2 = _member_at(atom, t0), _member_at(atom, t0 + 1)
-    u1, u2 = mapper(m1), mapper(m2)
-    if u1.k == u2.k:
-        line, v1, v2 = ("row", u1.k), u1.l, u2.l
-    else:
-        if u1.l != u2.l:
-            raise RuntimeError("image probe moved both coordinates")
-        line, v1, v2 = ("col", u1.l), u1.k, u2.k
-    if v2 - v1 != atom.step:
-        raise RuntimeError("image probe is not slope-one in the tail parameter")
-    rep = atom.base + (v1 - _param_value(atom, m1))
-    return line, rep
-
-
-def _diagonal_probe(xatom, yatom, hint: int):
-    """Line and value class of products with both tail parameters large."""
-    t0 = hint + 32
-    u1 = multiply(_member_at(xatom, t0), _member_at(yatom, t0))
-    u2 = multiply(_member_at(xatom, t0 + 1), _member_at(yatom, t0 + 1))
-    if u1.k == u2.k:
-        line, v1, v2 = ("row", u1.k), u1.l, u2.l
-    else:
-        if u1.l != u2.l:
-            raise RuntimeError("diagonal probe moved both coordinates")
-        line, v1, v2 = ("col", u1.l), u1.k, u2.k
-    if v2 - v1 != xatom.step + yatom.step:
-        raise RuntimeError("diagonal probe is not slope-one in each tail parameter")
-    rep = (
-        xatom.base
-        + yatom.base
-        + (v1 - _param_value(xatom, _member_at(xatom, t0)) - _param_value(yatom, _member_at(yatom, t0)))
-    )
-    return line, rep
-
-
-def _structural_reason(parts, target: SymSet, t: int, p: Optional[int]) -> Optional[str]:
-    """A reason valid for every source index, or None."""
-    if not parts:
-        return None
     watom = target.atoms[0]
     if isinstance(watom, Single):
-        return (
-            "the shifted point is isolated but the image of every source "
-            "neighborhood contains an infinite tail"
-        )
-    wline = ("row", watom.row) if isinstance(watom, RowTail) else ("col", watom.col)
-    for line, rep in parts:
-        if line != wline:
+        return None
+    waxis, wline = _tail_line(watom)
+    for tail in far_tails:
+        axis, line = _tail_line(tail)
+        if (axis, line) != (waxis, wline):
             return (
-                f"the image always contains a tail along {line[0]} {line[1]}, "
-                f"but target neighborhoods live along {wline[0]} {wline[1]}"
-            )
-        if (rep - watom.base) % (p**t) != 0:
-            return (
-                f"the image always contains a tail in the class {rep % p**t} "
-                f"mod {p}^{t}, disjoint from the target class {watom.base % p**t}"
+                f"the image always contains a tail along {('row', 'col')[axis]} {line}, "
+                f"but target neighborhoods live along {('row', 'col')[waxis]} {wline}"
             )
     return None
 
 
-def _witnesses(images: Callable, target: SymSet, witness_bound: int) -> tuple:
+def _far_tails(x, ax, y, ay) -> list:
+    """The far tails of the product of atoms ax (holding x) and ay (holding y).
+
+    A row x row product's own far tail lies on ax's row and a col x col
+    product's on ay's column, lines that the two translates already give.
+    """
+    tails = []
+    if not isinstance(ay, Single):
+        tails.append(_left_image_atom(x, ay)[-1])
+    if not isinstance(ax, Single):
+        tails.append(_right_image_atom(ax, y)[-1])
+    return tails
+
+
+def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     out = []
     for k in range(1, witness_bound + 1):
         w = subset(images(k), target)
@@ -217,22 +181,27 @@ def _witnesses(images: Callable, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(top, target, t, k0, image_at_k0, images, probes, k_max, witness_bound):
+def _decide(target, t, k0, images, factors, k_max, witness_bound):
     """One subset test at the least candidate index k0, then the certificate.
 
-    When the test fails, the structural reason decides the cell; only a
-    cell without one searches on from k0 + 1.  When k0 > k_max the test
-    is skipped, so the bound keeps its meaning.
+    Returns the verdict and, for a continuous cell, the image that fits the
+    target.  When the test fails, the far tails of the product that
+    `factors` = (x, ax, y, ay) names are built and the structural reason
+    decides the cell; only a cell without one searches on from k0 + 1.
+    When k0 > k_max the test is skipped, so the bound keeps its meaning.
     """
-    if k0 <= k_max and subset(image_at_k0(), target).holds:
-        return ContinuousAt(((t, k0),))
-    reason = _structural_reason(probes(), target, t, getattr(top, "p", None))
+    if k0 <= k_max:
+        image = images(k0)
+        if subset(image, target).holds:
+            return ContinuousAt(((t, k0),)), image
+    reason = _structural_reason(_far_tails(*factors), target)
     if reason is not None:
-        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason)
+        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason), None
     for k in range(k0 + 1, k_max + 1):
-        if subset(images(k), target).holds:
-            return ContinuousAt(((t, k),))
-    return RefutedUpToBound(k_max)
+        image = images(k)
+        if subset(image, target).holds:
+            return ContinuousAt(((t, k),)), image
+    return RefutedUpToBound(k_max), None
 
 
 # --- shift continuity ----------------------------------------------------------
@@ -262,26 +231,12 @@ def check_shift_at(
     atom = source.atoms[0]
     k0 = 1 if isinstance(atom, Single) else t
 
-    def probes():
-        if isinstance(atom, Single):
-            return []
-        mapper = (
-            (lambda m: multiply(s, m)) if side is ShiftSide.LEFT else (lambda m: multiply(m, s))
-        )
-        hint = s.k + s.l + x.k + x.l + y.k + y.l
-        return [_tail_probe(mapper, atom, hint)]
+    def images(k):  # the source built at t is also the neighborhood at k0
+        return shift_image(side, s, source if k == k0 else basic_nbhd(top, x, k))
 
-    return _decide(
-        top,
-        target,
-        t,
-        k0,
-        lambda: shift_image(side, s, source),
-        lambda k: shift_image(side, s, basic_nbhd(top, x, k)),
-        probes,
-        k_max,
-        witness_bound,
-    )
+    # a shift is the product with the point {s}
+    factors = (s, Single(s), x, atom) if side is ShiftSide.LEFT else (x, atom, s, Single(s))
+    return _decide(target, t, k0, images, factors, k_max, witness_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -353,35 +308,28 @@ def check_joint_at(
     product and one subset test at k0 decide every continuous cell with
     its minimal modulus.
     """
-    z = multiply(x, y)
-    target = basic_nbhd(top, z, t)
+    return _joint_decision(top, x, y, t, k_max, witness_bound)[0]
+
+
+def _joint_decision(top, x, y, t, k_max, witness_bound):
+    """check_joint_at's verdict, its target and the image at the modulus (None unless continuous)."""
+    target = basic_nbhd(top, multiply(x, y), t)
     nx = basic_nbhd(top, x, t)
     ny = basic_nbhd(top, y, t)
     ax, ay = nx.atoms[0], ny.atoms[0]
     k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
 
-    def probes():
-        hint = x.k + x.l + y.k + y.l + z.k + z.l
-        parts = []
-        if not isinstance(ay, Single):
-            parts.append(_tail_probe(lambda m: multiply(x, m), ay, hint))
-        if not isinstance(ax, Single):
-            parts.append(_tail_probe(lambda m: multiply(m, y), ax, hint))
-        if not isinstance(ax, Single) and not isinstance(ay, Single):
-            parts.append(_diagonal_probe(ax, ay, hint))
-        return parts
+    def images(k):  # the sources built at t are also the neighborhoods at k0
+        return product(nx, ny) if k == k0 else product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
 
-    return _decide(
-        top,
-        target,
-        t,
-        k0,
-        lambda: product(nx, ny),
-        lambda k: product(basic_nbhd(top, x, k), basic_nbhd(top, y, k)),
-        probes,
-        k_max,
-        witness_bound,
-    )
+    verdict, image = _decide(target, t, k0, images, (x, ax, y, ay), k_max, witness_bound)
+    return verdict, target, image
+
+
+def _joint_with_equality(top, x, y, t, k_max):
+    """check_joint_at's verdict and, when continuous, whether the image at the modulus equals the target."""
+    verdict, target, image = _joint_decision(top, x, y, t, k_max, DEFAULT_WITNESS_BOUND)
+    return verdict, None if image is None else subset(target, image).holds
 
 
 def _isolation_case(top, x, y) -> str:
@@ -444,12 +392,7 @@ def check_joint(
     for x in points:
         for y in points:
             for t in range(1, t_max + 1):
-                verdict = check_joint_at(top, x, y, t, k_max)
-                equality = None
-                if isinstance(verdict, ContinuousAt):
-                    k = verdict.modulus_for(t)
-                    img = product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
-                    equality = subset(basic_nbhd(top, multiply(x, y), t), img).holds
+                verdict, equality = _joint_with_equality(top, x, y, t, k_max)
                 cells.append(JointCell(x, y, t, _isolation_case(top, x, y), verdict, equality))
     return JointReport(top, tuple(cells), k_max)
 

@@ -191,6 +191,40 @@ def test_max_exponent_cap(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "1", "--k-max", "-5"],
+            "error: --k-max must be at least 0, got -5\n",
+        ),
+        (
+            ["check-joint", "padic+:2", "b^0a^0", "b^1a^1", "1", "--k-max", "-1"],
+            "error: --k-max must be at least 0, got -1\n",
+        ),
+        (
+            ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--t-max", "-2"],
+            "error: --t-max must be at least 1, got -2\n",
+        ),
+        (
+            ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--t-max", "0"],
+            "error: --t-max must be at least 1, got 0\n",
+        ),
+        (
+            ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--k-max", "-3"],
+            "error: --k-max must be at least 0, got -3\n",
+        ),
+    ],
+)
+def test_bad_bounds_are_usage_errors(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_k_max_zero_skips_the_test(capsys):
+    argv = ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "1", "--k-max", "0"]
+    assert run(capsys, *argv) == (0, "refuted-up-to-bound k_max=0\n", "")
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -640,6 +674,32 @@ _CHECK_JOINT_DISCONTINUOUS_JSON = (
     '"target_index": 1}}\n'
 )
 
+_CHECK_SHIFT_COLUMN_TEXT = (
+    'discontinuous t=1\n'
+    'reason: the image always contains a tail along col 0, but target neighborhoods live along col 1\n'
+    '  k=1 escape=b^2a^0\n  k=2 escape=b^4a^0\n  k=3 escape=b^8a^0\n  k=4 escape=b^16a^0\n'
+)
+_CHECK_SHIFT_COLUMN_JSON = (
+    '{"verdict": {"counterexamples": [[1, {"k": 2, "l": 0, "text": "b^2a^0"}], '
+    '[2, {"k": 4, "l": 0, "text": "b^4a^0"}], [3, {"k": 8, "l": 0, "text": "b^8a^0"}], '
+    '[4, {"k": 16, "l": 0, "text": "b^16a^0"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along col 0, but target neighborhoods live along col 1", '
+    '"target_index": 1}}\n'
+)
+
+_CHECK_JOINT_COLUMN_TEXT = (
+    'discontinuous t=1\n'
+    'reason: the image always contains a tail along col 0, but target neighborhoods live along col 3\n'
+    '  k=1 escape=b^4a^0\n  k=2 escape=b^4a^0\n  k=3 escape=b^8a^0\n  k=4 escape=b^16a^0\n'
+)
+_CHECK_JOINT_COLUMN_JSON = (
+    '{"verdict": {"counterexamples": [[1, {"k": 4, "l": 0, "text": "b^4a^0"}], '
+    '[2, {"k": 4, "l": 0, "text": "b^4a^0"}], [3, {"k": 8, "l": 0, "text": "b^8a^0"}], '
+    '[4, {"k": 16, "l": 0, "text": "b^16a^0"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along col 0, but target neighborhoods live along col 3", '
+    '"target_index": 1}}\n'
+)
+
 _FIND_DISCONTINUITY_FOUND_TEXT = (
     'found s=b^1a^1 x=b^0a^0 t=1\n'
     'reason: the image always contains a tail along row 0, but target neighborhoods live along row 1\n'
@@ -724,6 +784,16 @@ GOLDEN = {
         ["check-joint", "padic+:2", "b^0a^0", "b^3a^3", "1"],
         _CHECK_JOINT_DISCONTINUOUS_TEXT,
         _CHECK_JOINT_DISCONTINUOUS_JSON,
+    ),
+    "check-shift-column": (
+        ["check-shift", "padic-:2", "--side", "left", "b^1a^1", "b^0a^0", "1"],
+        _CHECK_SHIFT_COLUMN_TEXT,
+        _CHECK_SHIFT_COLUMN_JSON,
+    ),
+    "check-joint-column": (
+        ["check-joint", "padic-:2", "b^3a^3", "b^0a^0", "1"],
+        _CHECK_JOINT_COLUMN_TEXT,
+        _CHECK_JOINT_COLUMN_JSON,
     ),
     "find-discontinuity-found": (
         ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "3", "--t-max", "2"],

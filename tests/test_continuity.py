@@ -12,8 +12,10 @@ from bicyclic import (
     PAdicMinus,
     PAdicPlus,
     RefutedUpToBound,
+    RowTail,
     ShiftSide,
     Single,
+    SymSet,
     WindowPAdic,
     apply_shift,
     basic_nbhd,
@@ -36,6 +38,7 @@ from bicyclic import (
     subset,
     window_joint_report,
 )
+from bicyclic.symset import _left_image_atom, _right_image_atom
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -222,8 +225,28 @@ def test_no_refutations_in_scope():
         for side in (LEFT, RIGHT):
             rep = check_shift(top, side, bound=3, t_max=2)
             assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
-    rep = check_joint(WindowPAdic(2, 0, 1), bound=3, t_max=2)
-    assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
+    for top in (WindowPAdic(2, 0, 1), PAdicPlus(2), PAdicMinus(2)):
+        rep = check_joint(top, bound=3, t_max=2)
+        assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
+
+
+def test_joint_sweep_builds_one_product_per_continuous_cell(monkeypatch):
+    # the equality flag reads the product the decision built at the modulus
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(continuity, "product", counting)
+    for top in (WindowPAdic(2, 0, 2), PAdicPlus(2)):
+        calls.clear()
+        rep = check_joint(top, bound=3, t_max=2)
+        continuous = sum(isinstance(c.verdict, ContinuousAt) for c in rep.cells)
+        discontinuous = len(rep.cells) - continuous
+        assert len(calls) == continuous + discontinuous * (1 + continuity.DEFAULT_WITNESS_BOUND)
+        assert all(c.equality is not None for c in rep.cells if isinstance(c.verdict, ContinuousAt))
+    assert discontinuous > 0  # the padic+ sweep has both kinds of cell
 
 
 # --- the derived modulus against the old k-search --------------------------------------
@@ -239,10 +262,87 @@ _DIFF_TOPOLOGIES = (
 )
 
 
+# The sampler that certified discontinuity before the far tails were read off
+# the image builders: two members far up a tail, pushed through the map.
+
+
+def _member_at(atom, t):
+    if isinstance(atom, RowTail):
+        return E(atom.row, atom.base + atom.step * t)
+    return E(atom.base + atom.step * t, atom.col)
+
+
+def _param_value(atom, m):
+    return m.l if isinstance(atom, RowTail) else m.k
+
+
+def _tail_probe(mapper, atom, hint):
+    """Line and value class of the image of the atom's high end."""
+    t0 = hint + 32
+    m1, m2 = _member_at(atom, t0), _member_at(atom, t0 + 1)
+    u1, u2 = mapper(m1), mapper(m2)
+    if u1.k == u2.k:
+        line, v1, v2 = ("row", u1.k), u1.l, u2.l
+    else:
+        if u1.l != u2.l:
+            raise RuntimeError("image probe moved both coordinates")
+        line, v1, v2 = ("col", u1.l), u1.k, u2.k
+    if v2 - v1 != atom.step:
+        raise RuntimeError("image probe is not slope-one in the tail parameter")
+    rep = atom.base + (v1 - _param_value(atom, m1))
+    return line, rep
+
+
+def _diagonal_probe(xatom, yatom, hint):
+    """Line and value class of products with both tail parameters large."""
+    t0 = hint + 32
+    u1 = multiply(_member_at(xatom, t0), _member_at(yatom, t0))
+    u2 = multiply(_member_at(xatom, t0 + 1), _member_at(yatom, t0 + 1))
+    if u1.k == u2.k:
+        line, v1, v2 = ("row", u1.k), u1.l, u2.l
+    else:
+        if u1.l != u2.l:
+            raise RuntimeError("diagonal probe moved both coordinates")
+        line, v1, v2 = ("col", u1.l), u1.k, u2.k
+    if v2 - v1 != xatom.step + yatom.step:
+        raise RuntimeError("diagonal probe is not slope-one in each tail parameter")
+    rep = (
+        xatom.base
+        + yatom.base
+        + (v1 - _param_value(xatom, _member_at(xatom, t0)) - _param_value(yatom, _member_at(yatom, t0)))
+    )
+    return line, rep
+
+
+def _reference_reason(parts, target, t, p):
+    """The four-branch reason: isolated target, foreign line, foreign class mod p^t."""
+    if not parts:
+        return None
+    watom = target.atoms[0]
+    if isinstance(watom, Single):
+        return (
+            "the shifted point is isolated but the image of every source "
+            "neighborhood contains an infinite tail"
+        )
+    wline = ("row", watom.row) if isinstance(watom, RowTail) else ("col", watom.col)
+    for line, rep in parts:
+        if line != wline:
+            return (
+                f"the image always contains a tail along {line[0]} {line[1]}, "
+                f"but target neighborhoods live along {wline[0]} {wline[1]}"
+            )
+        if (rep - watom.base) % (p**t) != 0:
+            return (
+                f"the image always contains a tail in the class {rep % p**t} "
+                f"mod {p}^{t}, disjoint from the target class {watom.base % p**t}"
+            )
+    return None
+
+
 def _reference_decide(top, target, t, shapes, probes, images, k_max):
     """The search the checker ran before the modulus was derived: probes, then k = 1..k_max."""
     parts = probes(shapes)
-    reason = continuity._structural_reason(parts, target, t, getattr(top, "p", None))
+    reason = _reference_reason(parts, target, t, getattr(top, "p", None))
     if reason is not None:
         witnesses = continuity._witnesses(images, target, continuity.DEFAULT_WITNESS_BOUND)
         return DiscontinuousAt(t, witnesses, reason)
@@ -262,7 +362,7 @@ def _reference_shift(top, side, s, x, t, k_max):
             return []
         mapper = (lambda m: multiply(s, m)) if side is LEFT else (lambda m: multiply(m, s))
         hint = s.k + s.l + x.k + x.l + y.k + y.l
-        return [continuity._tail_probe(mapper, atom, hint)]
+        return [_tail_probe(mapper, atom, hint)]
 
     images = lambda k: shift_image(side, s, basic_nbhd(top, x, k))
     return _reference_decide(top, target, t, atom, probes, images, k_max)
@@ -279,11 +379,11 @@ def _reference_joint(top, x, y, t, k_max):
         hint = x.k + x.l + y.k + y.l + z.k + z.l
         parts = []
         if not isinstance(ay, Single):
-            parts.append(continuity._tail_probe(lambda m: multiply(x, m), ay, hint))
+            parts.append(_tail_probe(lambda m: multiply(x, m), ay, hint))
         if not isinstance(ax, Single):
-            parts.append(continuity._tail_probe(lambda m: multiply(m, y), ax, hint))
+            parts.append(_tail_probe(lambda m: multiply(m, y), ax, hint))
         if not isinstance(ax, Single) and not isinstance(ay, Single):
-            parts.append(continuity._diagonal_probe(ax, ay, hint))
+            parts.append(_diagonal_probe(ax, ay, hint))
         return parts
 
     images = lambda k: product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
@@ -320,6 +420,59 @@ def test_derived_modulus_matches_the_k_search(text):
     for k_max in range(0, 5):
         new, ref = _decide_both(top, side, a, b, 4, k_max)
         assert new == ref, (text, side, a, b, k_max)
+
+
+_INVARIANT_TOPOLOGIES = ("padic+:2", "padic-:2", "padic+:3", "padic-:3", "window:2:0:2", "window:3:1:3")
+
+
+def _line(atom):
+    return ("row", atom.row) if isinstance(atom, RowTail) else ("col", atom.col)
+
+
+def _far_tails_and_probes(top, side, a, b, t):
+    """The target and (far tail, sampled line) for each tail source of a cell."""
+    hint = a.k + a.l + b.k + b.l
+    if side is not None:
+        s, x = a, b
+        atom = basic_nbhd(top, x, t).atoms[0]
+        target = basic_nbhd(top, apply_shift(side, s, x), t)
+        if isinstance(atom, Single):
+            return target, []
+        if side is LEFT:
+            return target, [(_left_image_atom(s, atom)[-1], _tail_probe(lambda m: multiply(s, m), atom, hint))]
+        return target, [(_right_image_atom(atom, s)[-1], _tail_probe(lambda m: multiply(m, s), atom, hint))]
+    x, y = a, b
+    ax, ay = basic_nbhd(top, x, t).atoms[0], basic_nbhd(top, y, t).atoms[0]
+    target = basic_nbhd(top, multiply(x, y), t)
+    out = []
+    if not isinstance(ay, Single):
+        out.append((_left_image_atom(x, ay)[-1], _tail_probe(lambda m: multiply(x, m), ay, hint)))
+    if not isinstance(ax, Single):
+        out.append((_right_image_atom(ax, y)[-1], _tail_probe(lambda m: multiply(m, y), ax, hint)))
+    if not isinstance(ax, Single) and not isinstance(ay, Single):
+        # the diagonal adds no line: it repeats one the shifts already give
+        line, _ = _diagonal_probe(ax, ay, hint)
+        assert line in {_line(tail) for tail, _ in out}
+    return target, out
+
+
+@pytest.mark.parametrize("text", _INVARIANT_TOPOLOGIES)
+def test_far_tails_on_the_target_line_lie_inside_the_target(text):
+    # why the certificate needs only the line test: a far tail on the target's
+    # line fits inside the target, and a tail source never has an isolated target
+    top = parse_topology(text)
+    inside = 0
+    for side, a, b, t in _cells(top, 4, 3):
+        target, pairs = _far_tails_and_probes(top, side, a, b, t)
+        if not pairs:
+            continue
+        assert not isinstance(target.atoms[0], Single), (text, side, a, b, t)
+        for tail, (line, _) in pairs:
+            assert _line(tail) == line, (text, side, a, b, t)  # the sampler agrees
+            if line == _line(target.atoms[0]):
+                assert subset(SymSet((tail,)), target).holds, (text, side, a, b, t)
+                inside += 1
+    assert inside
 
 
 def test_subset_calls_per_cell(monkeypatch):
