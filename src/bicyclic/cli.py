@@ -385,7 +385,112 @@ def _cmd_verify(args):
 # --- parser -------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_SIDE = _arg("--side", choices=("left", "right"), required=True)
+_K_MAX = _arg("--k-max", type=int, default=12)
+
+# name -> (help, handler, arguments), in the order the top-level help lists them
+_COMMANDS = {
+    "mul": (
+        "multiply elements left to right",
+        _cmd_mul,
+        [_arg("elements", nargs="+", help="elements like b^2a^3, words like bba, or 1")],
+    ),
+    "pow": ("raise an element to a positive power", _cmd_pow, [_arg("element"), _arg("n", type=int)]),
+    "inv": ("the inverse partner of an element", _cmd_inv, [_arg("element")]),
+    "leq": ("natural partial order with witness", _cmd_leq, [_arg("x"), _arg("y")]),
+    "solve": (
+        "solution set of a one-sided equation",
+        _cmd_solve,
+        [
+            _arg("--side", choices=("left", "right"), required=True,
+                 help="left: factor*X = target, right: X*factor = target"),
+            _arg("factor"),
+            _arg("target"),
+        ],
+    ),
+    "reduce": ("normal form of a generator word", _cmd_reduce, [_arg("word")]),
+    "enumerate": (
+        "members of a family up to a bound",
+        _cmd_enumerate,
+        [_arg("descriptor"), _arg("--bound", type=int, required=True)],
+    ),
+    "closure": (
+        "bounded product closure of generators",
+        _cmd_closure,
+        [_arg("generators", nargs="+"), _arg("--bound", type=int, required=True)],
+    ),
+    "census": (
+        "idempotent count and classification",
+        _cmd_census,
+        [_arg("descriptor"), _arg("--bound", type=int, default=8)],
+    ),
+    "prop1-family": (
+        "idempotent family generated by a strict pair",
+        _cmd_prop1_family,
+        [
+            _arg("u", help="strictly upper element, k < l"),
+            _arg("v", help="strictly lower element, k > l"),
+            _arg("--count", type=int, default=5),
+        ],
+    ),
+    "thm1-nbhd": (
+        "finite neighborhood block inside a family",
+        _cmd_thm1_nbhd,
+        [_arg("descriptor"), _arg("element"), _arg("--bound", type=int, default=12)],
+    ),
+    "nbhd": (
+        "basic neighborhood in a topology",
+        _cmd_nbhd,
+        [_arg("topology"), _arg("element"), _arg("index", type=int)],
+    ),
+    "image": ("translate a set by an element", _cmd_image, [_SIDE, _arg("element"), _arg("set")]),
+    "product": ("elementwise product of two sets", _cmd_product, [_arg("left"), _arg("right")]),
+    "subset": ("exact subset test with witness", _cmd_subset, [_arg("left"), _arg("right")]),
+    "check-shift": (
+        "continuity of one shift at a point",
+        _cmd_check_shift,
+        [_arg("topology"), _SIDE, _arg("shift"), _arg("point"), _arg("t", type=int), _K_MAX],
+    ),
+    "check-joint": (
+        "joint continuity of multiplication at a pair",
+        _cmd_check_joint,
+        [_arg("topology"), _arg("x"), _arg("y"), _arg("t", type=int), _K_MAX],
+    ),
+    "find-discontinuity": (
+        "first certified shift discontinuity",
+        _cmd_find_discontinuity,
+        [
+            _arg("topology"),
+            _SIDE,
+            _arg("--bound", type=int, required=True),
+            _arg("--t-max", type=int, default=None),
+            _K_MAX,
+        ],
+    ),
+    "verify": (
+        "run a named verification suite",
+        _cmd_verify,
+        [
+            _arg("suite", choices=SUITE_NAMES),
+            _arg("--bound", type=int, default=None),
+            _arg("--p", type=int, default=2, help="prime for the prop2 window sweep"),
+            _arg("--m", type=int, default=0, help="first window row for prop2"),
+            _arg("--n", type=int, default=2, help="last window row for prop2"),
+        ],
+    ),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser when it names one, else with all.
+
+    A process parses one command line, so a named command needs no other
+    subparser; help, a missing command and an unknown one list them all.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output encoding"
@@ -401,126 +506,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bicyclic", description="exact computations in the bicyclic monoid"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mul", parents=[common], help="multiply elements left to right")
-    p.add_argument("elements", nargs="+", help="elements like b^2a^3, words like bba, or 1")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("pow", parents=[common], help="raise an element to a positive power")
-    p.add_argument("element")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_pow)
-
-    p = sub.add_parser("inv", parents=[common], help="the inverse partner of an element")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_inv)
-
-    p = sub.add_parser("leq", parents=[common], help="natural partial order with witness")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=_cmd_leq)
-
-    p = sub.add_parser("solve", parents=[common], help="solution set of a one-sided equation")
-    p.add_argument("--side", choices=("left", "right"), required=True,
-                   help="left: factor*X = target, right: X*factor = target")
-    p.add_argument("factor")
-    p.add_argument("target")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("reduce", parents=[common], help="normal form of a generator word")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("enumerate", parents=[common], help="members of a family up to a bound")
-    p.add_argument("descriptor")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("closure", parents=[common], help="bounded product closure of generators")
-    p.add_argument("generators", nargs="+")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_closure)
-
-    p = sub.add_parser("census", parents=[common], help="idempotent count and classification")
-    p.add_argument("descriptor")
-    p.add_argument("--bound", type=int, default=8)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser(
-        "prop1-family", parents=[common], help="idempotent family generated by a strict pair"
-    )
-    p.add_argument("u", help="strictly upper element, k < l")
-    p.add_argument("v", help="strictly lower element, k > l")
-    p.add_argument("--count", type=int, default=5)
-    p.set_defaults(func=_cmd_prop1_family)
-
-    p = sub.add_parser(
-        "thm1-nbhd", parents=[common], help="finite neighborhood block inside a family"
-    )
-    p.add_argument("descriptor")
-    p.add_argument("element")
-    p.add_argument("--bound", type=int, default=12)
-    p.set_defaults(func=_cmd_thm1_nbhd)
-
-    p = sub.add_parser("nbhd", parents=[common], help="basic neighborhood in a topology")
-    p.add_argument("topology")
-    p.add_argument("element")
-    p.add_argument("index", type=int)
-    p.set_defaults(func=_cmd_nbhd)
-
-    p = sub.add_parser("image", parents=[common], help="translate a set by an element")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("element")
-    p.add_argument("set")
-    p.set_defaults(func=_cmd_image)
-
-    p = sub.add_parser("product", parents=[common], help="elementwise product of two sets")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("subset", parents=[common], help="exact subset test with witness")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_subset)
-
-    p = sub.add_parser("check-shift", parents=[common], help="continuity of one shift at a point")
-    p.add_argument("topology")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("shift")
-    p.add_argument("point")
-    p.add_argument("t", type=int)
-    p.add_argument("--k-max", type=int, default=12)
-    p.set_defaults(func=_cmd_check_shift)
-
-    p = sub.add_parser(
-        "check-joint", parents=[common], help="joint continuity of multiplication at a pair"
-    )
-    p.add_argument("topology")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("t", type=int)
-    p.add_argument("--k-max", type=int, default=12)
-    p.set_defaults(func=_cmd_check_joint)
-
-    p = sub.add_parser(
-        "find-discontinuity", parents=[common], help="first certified shift discontinuity"
-    )
-    p.add_argument("topology")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=12)
-    p.set_defaults(func=_cmd_find_discontinuity)
-
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--p", type=int, default=2, help="prime for the prop2 window sweep")
-    p.add_argument("--m", type=int, default=0, help="first window row for prop2")
-    p.add_argument("--n", type=int, default=2, help="last window row for prop2")
-    p.set_defaults(func=_cmd_verify)
-
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -533,8 +524,8 @@ def _check_sweep_bounds(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_sweep_bounds(args)
         payload, text, code = args.func(args)

@@ -298,9 +298,15 @@ def union(*sets: SymSet) -> SymSet:
 class SubsetWitness:
     """Outcome of an exact subset test.
 
-    holds=True comes with the covering bound that was exhaustively checked
-    (beyond it membership is periodic); holds=False carries a concrete
-    element of the left set missing from the right one.
+    holds=False carries an element of the left set missing from the right
+    one: for the first atom of the left set, in atom order, that is not
+    contained, the point itself or the tail's least missing member.
+    holds=True carries a covering bound: along every tail of the left set,
+    testing the members whose free exponent is at most the bound decides
+    the test.  Past the largest exponent that the right set's atoms fix on
+    the tail's line, membership there repeats with the period of the right
+    set's tails along the line, and the bound reaches one full period past
+    that exponent.
     """
 
     holds: bool
@@ -309,35 +315,94 @@ class SubsetWitness:
 
 
 def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
-    # Only same-line tails of the target matter past a finite prefix; their
-    # step lcm is the period of membership along the tail.
+    """Decide tail <= b, with b read from its line index, in one joint period.
+
+    A value v of the tail's free exponent lies in b when it is a point of b
+    on the line, the one element where a crossing tail of b meets the line,
+    or a member of a tail of b along the line (a same-line tail).  Call the
+    first two kinds `fixed`.  Let `top` be the largest base among the tail
+    and the same-line tails, `period` the lcm of the same-line steps (1 when
+    there are none) and joint = lcm(period, step).  For v >= top, v lies on
+    a same-line tail iff it does mod that tail's step, so along the tail
+    same-line membership repeats every `joint` values past `top`.
+
+    The tail's values from its base through top + joint are looked up in
+    order.  Each residue class of the tail mod `joint` then has one value
+    in the window (top, top + joint].  A class whose window value the
+    same-line tails miss was covered there by a fixed value, and every
+    later value of it is in b only while it is fixed, so `_walk_classes`
+    follows it by `joint` to its first value outside b; the fixed values
+    bound these walks in total.  A class whose window value lies on a
+    same-line tail stays in b for good.
+
+    The counterexample is the least value of the tail outside b, as a scan
+    of every value in order would find it.  Each value up to top + joint
+    was looked up.  A value w past it outside b is missed by the same-line
+    tails, and so is its class's window value v, which was in b and so is
+    fixed: the walk from v stops at or before w, on a value outside b.
+
+    The covering bound is max(fixed + [top]) + period * step.  Past the
+    largest fixed value only the same-line tails count, and along the tail
+    they repeat every joint <= period * step, so the values up to the bound
+    span a whole period there: a scan up to it decides the test, and an
+    in-order scan finds the same counterexample.
+    """
     axis, line = _tail_line(tail)
     same_line = index.tails[axis].get(line, ())
-    consts = [tail.base]
-    consts.extend(t.base for t in same_line)
-    consts.extend(index.line_points[axis].get(line, ()))
+    fixed = list(index.line_points[axis].get(line, ()))
     for cross, tails in index.tails[1 - axis].items():
         # a crossing tail contributes at most the one element on this line
         if _any_on_progression(tails, line):
-            consts.append(cross)
+            fixed.append(cross)
+    base, step = tail.base, tail.step
+    top = max([base] + [t.base for t in same_line])
     period = lcm(*(t.step for t in same_line))  # 1 when the line has no tails
-    bound = max(consts) + period * tail.step
-    for value in range(tail.base, bound + 1, tail.step):
+    joint = lcm(period, step)
+    end = top + joint
+    for value in range(base, end + 1, step):
         k, l = (line, value) if axis == 0 else (value, line)
         if not index.has(k, l):
             return SubsetWitness(False, counterexample=BicyclicElement(k, l))
-    return SubsetWitness(True, covering_bound=bound)
+    gaps = [
+        v
+        for v in fixed
+        if top < v <= end and (v - base) % step == 0 and not _any_on_progression(same_line, v)
+    ]
+    if gaps:
+        value = _walk_classes(gaps, joint, fixed)
+        k, l = (line, value) if axis == 0 else (value, line)
+        return SubsetWitness(False, counterexample=BicyclicElement(k, l))
+    return SubsetWitness(True, covering_bound=max([top] + fixed) + period * step)
+
+
+def _walk_classes(gaps, joint: int, fixed) -> int:
+    """The least value past the window outside b, in the classes of `gaps`.
+
+    Each gap is a window value that a fixed value alone covers; its class
+    stays in b past the window only while fixed values cover it.  Each step
+    passes a distinct fixed value, so all walks together take at most
+    len(fixed) steps.
+    """
+    fixed = set(fixed)
+    ends = []
+    for value in gaps:
+        value += joint
+        while value in fixed:
+            value += joint
+        ends.append(value)
+    return min(ends)
 
 
 def subset(a: SymSet, b: SymSet) -> SubsetWitness:
     """Exact test a <= b with a checkable certificate either way.
 
-    Points of a and the covering prefix of each tail of a are looked up in a
-    line index of b, which costs O(atoms of b) to build and O(tails on one
-    line) per lookup.  The prefix of a tail ends at its covering bound: the
-    largest exponent that b's atoms fix on the tail's line plus one period
-    of b's tails on that line, read from the index in O(atoms of b on the
-    line + tails of b across it).
+    Points of a are looked up in a line index of b, which costs O(atoms of
+    b) to build and O(tails on one line) per lookup.  Each tail of a is
+    decided in one joint period of its own step and the steps of b's tails
+    on its line, past the largest base among them (see `_tail_subset`):
+    O(atoms of b on the line + tails of b across it) plus one lookup per
+    value in the period.  The certificate is the least missing element, or
+    the largest covering bound over the tails of a (see `SubsetWitness`).
     """
     index = _LineIndex(b.atoms)
     worst_bound = 0

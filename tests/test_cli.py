@@ -171,6 +171,30 @@ def test_verify_prop2_window_flags(capsys):
     assert code == 0
 
 
+def test_verify_prop2_fourth_case_rejects_a_coarse_modulus(capsys, monkeypatch):
+    from bicyclic import verify
+    from bicyclic.continuity import ContinuousAt, JointCell, JointReport, check_joint
+
+    def forged(top, bound, t_max):
+        # every neither-isolated cell claims source index 1, too coarse for t >= 2
+        rep = check_joint(top, bound=bound, t_max=t_max)
+        cells = tuple(
+            JointCell(c.x, c.y, c.t, c.case, ContinuousAt(((c.t, 1),)), c.equality)
+            if c.case == "neither-isolated"
+            else c
+            for c in rep.cells
+        )
+        return JointReport(rep.topology, cells, rep.k_max)
+
+    monkeypatch.setattr(verify, "check_joint", forged)
+    code, out, _ = run(capsys, "verify", "prop2")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL window:2:0:2 bound=6: fourth-case product sets sit inside the target neighborhood"
+    ]
+
+
 # --- precondition and usage errors -----------------------------------------------------------
 
 
@@ -491,6 +515,11 @@ _SUBSET_FALSE_JSON = (
     ' "holds": false}\n'
 )
 
+# a crossing tail far out on the row: the scan decides the row tail in one
+# period, and the bound still reaches one period past the crossing point
+_SUBSET_FAR_CROSSER_TEXT = 'true covering_bound=1000001\n'
+_SUBSET_FAR_CROSSER_JSON = '{"counterexample": null, "covering_bound": 1000001, "holds": true}\n'
+
 _NBHD_TEXT = (
     '{b^(5+9t) a^2}\n'
 )
@@ -759,6 +788,11 @@ GOLDEN = {
         _SUBSET_FALSE_TEXT,
         _SUBSET_FALSE_JSON,
     ),
+    "subset-far-crosser": (
+        ["subset", "{b^0 a^(0+1t)}", "{b^0 a^(0+1t)} | {b^(0+1t) a^1000000}"],
+        _SUBSET_FAR_CROSSER_TEXT,
+        _SUBSET_FAR_CROSSER_JSON,
+    ),
     "nbhd": (["nbhd", "padic-:3", "b^5a^2", "2"], _NBHD_TEXT, _NBHD_JSON),
     "check-shift-escapes": (
         ["check-shift", "padic+:2", "--side", "right", "b^1a^1", "b^0a^0", "1"],
@@ -832,6 +866,109 @@ def test_verify_unknown_suite_usage_error(capsys, monkeypatch):
     out = capsys.readouterr()
     assert exc.value.code == 2
     assert (out.out, out.err) == ("", _VERIFY_UNKNOWN_SUITE_ERR)
+
+
+_TOP_USAGE = (
+    'usage: bicyclic [-h]\n'
+    '                {mul,pow,inv,leq,solve,reduce,enumerate,closure,census,prop1-family,thm1-nbhd,nbhd,image,product,subset,check-shift,check-joint,find-discontinuity,verify}\n'
+    '                ...\n'
+)
+_TOP_HELP = _TOP_USAGE + (
+    '\n'
+    'exact computations in the bicyclic monoid\n'
+    '\n'
+    'positional arguments:\n'
+    '  {mul,pow,inv,leq,solve,reduce,enumerate,closure,census,prop1-family,thm1-nbhd,nbhd,image,product,subset,check-shift,check-joint,find-discontinuity,verify}\n'
+    '    mul                 multiply elements left to right\n'
+    '    pow                 raise an element to a positive power\n'
+    '    inv                 the inverse partner of an element\n'
+    '    leq                 natural partial order with witness\n'
+    '    solve               solution set of a one-sided equation\n'
+    '    reduce              normal form of a generator word\n'
+    '    enumerate           members of a family up to a bound\n'
+    '    closure             bounded product closure of generators\n'
+    '    census              idempotent count and classification\n'
+    '    prop1-family        idempotent family generated by a strict pair\n'
+    '    thm1-nbhd           finite neighborhood block inside a family\n'
+    '    nbhd                basic neighborhood in a topology\n'
+    '    image               translate a set by an element\n'
+    '    product             elementwise product of two sets\n'
+    '    subset              exact subset test with witness\n'
+    '    check-shift         continuity of one shift at a point\n'
+    '    check-joint         joint continuity of multiplication at a pair\n'
+    '    find-discontinuity  first certified shift discontinuity\n'
+    '    verify              run a named verification suite\n'
+    '\n'
+    'options:\n'
+    '  -h, --help            show this help message and exit\n'
+)
+_MUL_USAGE = (
+    'usage: bicyclic mul [-h] [--format {text,json}] [--max-exponent MAX_EXPONENT]\n'
+    '                    elements [elements ...]\n'
+)
+_MUL_HELP = _MUL_USAGE + (
+    '\n'
+    'positional arguments:\n'
+    '  elements              elements like b^2a^3, words like bba, or 1\n'
+    '\n'
+    'options:\n'
+    '  -h, --help            show this help message and exit\n'
+    '  --format {text,json}  output encoding\n'
+    '  --max-exponent MAX_EXPONENT\n'
+    '                        reject parsed elements with larger exponents\n'
+)
+
+# (argv, exit code, stdout, stderr), frozen from the parser that built every
+# subparser on every call
+_PARSER_OUTPUT = [
+    ([], 2, "", _TOP_USAGE + "bicyclic: error: the following arguments are required: command\n"),
+    (["--help"], 0, _TOP_HELP, ""),
+    (
+        ["nosuch"],
+        2,
+        "",
+        _TOP_USAGE
+        + "bicyclic: error: argument command: invalid choice: 'nosuch' (choose from 'mul', "
+        "'pow', 'inv', 'leq', 'solve', 'reduce', 'enumerate', 'closure', 'census', "
+        "'prop1-family', 'thm1-nbhd', 'nbhd', 'image', 'product', 'subset', 'check-shift', "
+        "'check-joint', 'find-discontinuity', 'verify')\n",
+    ),
+    (["mul", "--help"], 0, _MUL_HELP, ""),
+    (["mul"], 2, "", _MUL_USAGE + "bicyclic mul: error: the following arguments are required: elements\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", _PARSER_OUTPUT, ids=[" ".join(c[0]) or "none" for c in _PARSER_OUTPUT]
+)
+def test_parser_help_and_usage_errors(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = capsys.readouterr()
+    assert (exc.value.code, got.out, got.err) == (code, out, err)
+
+
+def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
+    import argparse
+
+    from bicyclic.cli import _COMMANDS
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, "mul", "b^2a^3", "b^5a^1") == (0, "b^4a^1\n", "")
+    assert built == ["mul"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert built == list(_COMMANDS)
 
 
 def test_module_entry_point():

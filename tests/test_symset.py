@@ -259,6 +259,84 @@ def test_line_index_matches_all_pairs_reference():
     assert outcomes == disjoint == {True, False}
 
 
+def _walk_case(rng, cover):
+    """A row tail and a target whose row tails miss some of the tail's residue
+    classes mod the joint period.  `cover` ("points" or "crossers") fills each
+    missed class up to the window and, past it, for one to four periods;
+    a few holes are punched at random."""
+    row = rng.randint(0, 5)
+    same = [RowTail(row, rng.randint(0, 12), rng.choice([4, 6, 8, 9, 12])) for _ in range(rng.randint(1, 2))]
+    # the tail's step shares factors with the row tails' steps
+    tail = RowTail(row, rng.randint(0, 12), rng.choice([2, 3, 4, 6]))
+    top = max([tail.base] + [t.base for t in same])
+    joint = math.lcm(tail.step, *(t.step for t in same))
+    fixed = set()
+    for value in range(tail.base, top + joint + 1, tail.step):
+        if not _ref_member(same, E(row, value)):
+            periods = rng.randint(1, 4) if value > top else 1
+            fixed.update(value + joint * m for m in range(periods))
+    fixed -= {v for v in fixed if rng.random() < 0.03}
+    target = list(same)
+    for value in sorted(fixed):
+        if cover == "points":
+            target.append(Single(E(row, value)))
+        else:
+            step = rng.choice([1, 2, 3])
+            target.append(ColTail(value, row - step * rng.randint(0, row // step), step))
+    rng.shuffle(target)
+    return symset(tail), SymSet(tuple(target)), top + joint, joint
+
+
+def test_class_walk_matches_the_in_order_scan(monkeypatch):
+    walks = 0
+    walk = symset_module._walk_classes
+
+    def counted(gaps, joint, fixed):
+        nonlocal walks
+        walks += 1
+        return walk(gaps, joint, fixed)
+
+    monkeypatch.setattr(symset_module, "_walk_classes", counted)
+    rng = random.Random(20261019)
+    for cover in ("points", "crossers"):
+        walks = deep = 0
+        for case in range(150):
+            a, b, end, joint = _walk_case(rng, cover)
+            if case % 3 == 1:
+                b = canonicalize(b)
+            if case % 2:
+                a, b = transpose(a), transpose(b)
+            got = subset(a, b)
+            assert got == _ref_subset(a, b)
+            x = got.counterexample
+            if x is not None and (x.k if case % 2 else x.l) > end + joint:
+                deep += 1
+        # the walk decides most cases, some of them periods past the window
+        assert walks > 100 and deep > 10
+
+
+def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
+    calls = 0
+    has = symset_module._LineIndex.has
+
+    def counted(self, k, l):
+        nonlocal calls
+        calls += 1
+        return has(self, k, l)
+
+    monkeypatch.setattr(symset_module._LineIndex, "has", counted)
+    cases = [
+        # one lookup per value of an 81 * 81 period made 82 lookups
+        (symset(RowTail(0, 0, 81)), symset(RowTail(0, 0, 81)), 6561),
+        # a crossing tail far out on the row made 1,000,002 lookups
+        (symset(RowTail(0, 0, 1)), symset(RowTail(0, 0, 1), ColTail(10**6, 0, 1)), 10**6 + 1),
+    ]
+    for a, b, bound in cases:
+        calls = 0
+        assert subset(a, b) == SubsetWitness(True, covering_bound=bound)
+        assert calls <= 3
+
+
 def test_canonicalize_scans_only_the_lines_of_each_atom(monkeypatch):
     calls = 0
     contains = symset_module._atom_contains
