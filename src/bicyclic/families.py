@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -167,57 +166,97 @@ def closure(gens, bound: int) -> ClosureResult:
     that contains the generators and holds every product of two of its
     members that lands in the box.  saturated=True means no product of two
     members leaves the box, so members is the whole generated subsemigroup
-    (which is then finite).  Costs O(bound^3) integer steps.
+    (which is then finite).
 
-    The fixpoint runs on exponent pairs with a worklist; each member, once
-    taken off it, is multiplied against the members taken before it and
-    against itself.  For x = (a, b) and y = (c, d) the product law reads
+    The fixpoint runs on row bitmasks: rows[k] has bit l set when b^k a^l
+    is a member.  For x = (a, b) and y = (c, d) the product law reads
 
-        b <= c:  (c + (a - b), d)    x matters only through a - b
-        b >= c:  (a, b + (d - c))    y matters only through d - c
+        b <= c:  (c + (a - b), d)    x matters only through delta = a - b
+        b >= c:  (a, b + (d - c))    y matters only through eps = d - c
 
-    (at b = c both give (a, d)).  So for each difference a - b only the
-    least l of a member with it (min_l) decides which y it reaches, and
-    likewise the least k (min_k) for each difference d - c.  A new member
-    multiplies as y against every difference whose min_l is at most its k,
-    and as x against every min_k at most its l.  When it lowers min_l
-    (min_k) of its own difference, it also scans the rows (columns) that
-    the lower minimum newly opens; from the old minimum on, a member with
-    the same difference has already formed the same products.  So every
-    ordered pair of members is accounted for, and saturated is exact.
+    (at b = c both give (a, d)).  Let m[delta] be the least l of a member
+    with k - l = delta, and n[eps] the least k of a member with l - k = eps.
+    Each product then becomes a whole-row move:
+
+      A. for every row c >= m[delta], rows[c + delta] |= rows[c]: the member
+         at m[delta] times each member of row c;
+      B. for every row a, the bits of rows[a] at n[eps] or above, shifted by
+         eps, are ORed back into rows[a]: each member of row a with l >= n[eps]
+         times the member at n[eps].
+
+    Both moves only form products of two members, so they are exact.  They
+    are complete: for an ordered pair with b <= c, m[a - b] <= b <= c puts
+    row c under move A for x's difference, and for b >= c, n[d - c] <= c <= b
+    puts x's bit under move B for y's.  A difference of 0 (an idempotent)
+    maps every row to itself and is left out.  A product that leaves the
+    box, a target row past bound in move A or a bit shifted past bit bound
+    in move B, sets saturated=False; it comes from two members, and the
+    last sweep forms every product, so the flag is exact.
+
+    A sweep first enters the bits that the previous sweep added into m and
+    n (each member once), then runs move A in the order that lets a row
+    feed its own target (rising rows for delta > 0, falling for delta < 0)
+    and repeats move B on the bits it adds, so one sweep also forms the
+    chains x*y*y*... along one difference.  Sweeps stop when one changes no
+    row.  A sweep costs O(bound^2) shifts and ORs on (bound + 1)-bit ints;
+    it multiplies all members present when it starts, so product length at
+    least doubles per sweep where the intermediates fit the box.
     """
     gens = tuple(gens)
     if any(max(g.k, g.l) > bound for g in gens):
         raise ValueError("closure bound must cover the generators")
-    seen = {(g.k, g.l) for g in gens}
-    work = list(seen)
-    rows = defaultdict(list)  # k -> the l of each member taken so far with that k
-    cols = defaultdict(list)  # l -> the k of each member taken so far with that l
-    min_l = {}  # k - l -> least l among members taken so far
-    min_k = {}  # l - k -> least k among members taken so far
+    rows = [0] * (bound + 1)
+    for g in gens:
+        rows[g.k] |= 1 << g.l
+    full = (1 << (bound + 1)) - 1
+    min_l = {}  # k - l -> least l among members, for k != l
+    min_k = {}  # l - k -> least k among members, for k != l
     saturated = True
-    while work:
-        a, b = work.pop()
-        rows[a].append(b)
-        cols[b].append(a)
-        out = []
-        old = min_l.get(a - b, bound + 1)
-        if b < old:
-            min_l[a - b] = b
-            out += [(c + a - b, d) for c in range(b, old) for d in rows[c]]
-        old = min_k.get(b - a, bound + 1)
-        if a < old:
-            min_k[b - a] = a
-            out += [(c, d + b - a) for d in range(a, old) for c in cols[d]]
-        out += [(a + dx, b) for dx, least in min_l.items() if least <= a]
-        out += [(a, b + ey) for ey, least in min_k.items() if least <= b]
-        for z in out:
-            if z[0] > bound or z[1] > bound:
-                saturated = False
-            elif z not in seen:
-                seen.add(z)
-                work.append(z)
-    return ClosureResult(frozenset(BicyclicElement(k, l) for k, l in seen), saturated)
+    fresh = list(rows)
+    while any(fresh):
+        for k, bits in enumerate(fresh):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                l = low.bit_length() - 1
+                if k != l:
+                    if l < min_l.get(k - l, bound + 1):
+                        min_l[k - l] = l
+                    if k < min_k.get(l - k, bound + 1):
+                        min_k[l - k] = k
+        before = list(rows)
+        for delta, least in min_l.items():
+            if delta > 0:
+                for c in range(least, bound + 1):
+                    if rows[c]:
+                        if c + delta > bound:
+                            saturated = False
+                            break
+                        rows[c + delta] |= rows[c]
+            else:
+                for c in range(bound, least - 1, -1):
+                    if rows[c]:
+                        rows[c + delta] |= rows[c]
+        for eps, least in min_k.items():
+            for a, row in enumerate(rows):
+                src = row >> least << least
+                while src:
+                    moved = src << eps if eps > 0 else src >> -eps
+                    if moved > full:
+                        saturated = False
+                        moved &= full
+                    src = moved & ~row
+                    row |= src
+                    src = src >> least << least
+                rows[a] = row
+        fresh = [new ^ old for new, old in zip(rows, before)]
+    members = frozenset(
+        BicyclicElement(k, l)
+        for k, row in enumerate(rows)
+        for l in range(row.bit_length())
+        if row >> l & 1
+    )
+    return ClosureResult(members, saturated)
 
 
 def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> BoundedMembership:

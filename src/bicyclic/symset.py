@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Union
 
 from .element import BicyclicElement, invert, multiply, solve_left, solve_right
@@ -315,37 +315,39 @@ class SubsetWitness:
 
 
 def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
-    """Decide tail <= b, with b read from its line index, in one joint period.
+    """Decide tail <= b, with b read from its line index, one stretch at a time.
 
     A value v of the tail's free exponent lies in b when it is a point of b
     on the line, the one element where a crossing tail of b meets the line,
     or a member of a tail of b along the line (a same-line tail).  Call the
-    first two kinds `fixed`.  Let `top` be the largest base among the tail
-    and the same-line tails, `period` the lcm of the same-line steps (1 when
-    there are none) and joint = lcm(period, step).  For v >= top, v lies on
-    a same-line tail iff it does mod that tail's step, so along the tail
-    same-line membership repeats every `joint` values past `top`.
+    first two kinds `fixed`.  The bases of the same-line tails above the
+    tail's base cut its values into stretches; the last one starts at
+    `top`, the largest base among the tail and the same-line tails, and has
+    no end.  Inside a stretch the active same-line tails are those based at
+    or below its start, and for v in the stretch, v lies on one iff it does
+    mod that tail's step.  So along the tail, same-line membership repeats
+    in a stretch every `joint` values, the lcm of the tail's step and the
+    active steps: each residue class of the tail mod `joint` is on an
+    active tail throughout the stretch or nowhere in it.
 
-    The tail's values from its base through top + joint are looked up in
-    order.  Each residue class of the tail mod `joint` then has one value
-    in the window (top, top + joint].  A class whose window value the
-    same-line tails miss was covered there by a fixed value, and every
-    later value of it is in b only while it is fixed, so `_walk_classes`
-    follows it by `joint` to its first value outside b; the fixed values
-    bound these walks in total.  A class whose window value lies on a
-    same-line tail stays in b for good.
+    Each class's first value in the stretch is looked up.  A class on an
+    active tail is covered to the stretch's end.  Any other class is in b
+    only while its values are fixed, so `_walk_classes` follows it by
+    `joint` to its first value outside b; every step passes a fixed value
+    of the stretch, so the walks of all stretches take at most len(fixed)
+    steps in total.
 
     The counterexample is the least value of the tail outside b, as a scan
-    of every value in order would find it.  Each value up to top + joint
-    was looked up.  A value w past it outside b is missed by the same-line
-    tails, and so is its class's window value v, which was in b and so is
-    fixed: the walk from v stops at or before w, on a value outside b.
+    of every value in order would find it: stretches are taken in order,
+    the looked-up first values in order, and each walk starts one `joint`
+    past every first value of its stretch.
 
-    The covering bound is max(fixed + [top]) + period * step.  Past the
-    largest fixed value only the same-line tails count, and along the tail
-    they repeat every joint <= period * step, so the values up to the bound
-    span a whole period there: a scan up to it decides the test, and an
-    in-order scan finds the same counterexample.
+    The covering bound is max(fixed + [top]) + period * step, with
+    `period` the lcm of all same-line steps (1 when there are none).  Past
+    the largest fixed value only the same-line tails count, and along the
+    tail they repeat every joint <= period * step, so the values up to the
+    bound span a whole period there: a scan up to it decides the test, and
+    an in-order scan finds the same counterexample.
     """
     axis, line = _tail_line(tail)
     same_line = index.tails[axis].get(line, ())
@@ -355,42 +357,50 @@ def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
         if _any_on_progression(tails, line):
             fixed.append(cross)
     base, step = tail.base, tail.step
-    top = max([base] + [t.base for t in same_line])
-    period = lcm(*(t.step for t in same_line))  # 1 when the line has no tails
-    joint = lcm(period, step)
-    end = top + joint
-    for value in range(base, end + 1, step):
-        k, l = (line, value) if axis == 0 else (value, line)
-        if not index.has(k, l):
+    # a base shared by two tails cuts an empty stretch, which decides nothing
+    cuts = sorted([t.base for t in same_line if t.base > base])
+    for start, end in zip([base, *cuts], [*cuts, inf]):
+        active = [t for t in same_line if t.base <= start]
+        period = lcm(*(t.step for t in active))  # 1 when no tail is active
+        joint = lcm(period, step)
+        first = start + (base - start) % step
+        stop = min(first + joint, end)
+        for value in range(first, stop, step):
+            k, l = (line, value) if axis == 0 else (value, line)
+            if not index.has(k, l):
+                return SubsetWitness(False, counterexample=BicyclicElement(k, l))
+        # the looked-up values that no active tail covers are fixed
+        gaps = [
+            v
+            for v in fixed
+            if first <= v < stop and (v - base) % step == 0 and not _any_on_progression(active, v)
+        ]
+        value = _walk_classes(gaps, joint, fixed, end) if gaps else None
+        if value is not None:
+            k, l = (line, value) if axis == 0 else (value, line)
             return SubsetWitness(False, counterexample=BicyclicElement(k, l))
-    gaps = [
-        v
-        for v in fixed
-        if top < v <= end and (v - base) % step == 0 and not _any_on_progression(same_line, v)
-    ]
-    if gaps:
-        value = _walk_classes(gaps, joint, fixed)
-        k, l = (line, value) if axis == 0 else (value, line)
-        return SubsetWitness(False, counterexample=BicyclicElement(k, l))
-    return SubsetWitness(True, covering_bound=max([top] + fixed) + period * step)
+    # the last stretch starts at top, with every same-line tail active
+    return SubsetWitness(True, covering_bound=max([start] + fixed) + period * step)
 
 
-def _walk_classes(gaps, joint: int, fixed) -> int:
-    """The least value past the window outside b, in the classes of `gaps`.
+def _walk_classes(gaps, joint: int, fixed, end) -> Optional[int]:
+    """The least value below `end` outside b in the classes of `gaps`, or None.
 
-    Each gap is a window value that a fixed value alone covers; its class
-    stays in b past the window only while fixed values cover it.  Each step
-    passes a distinct fixed value, so all walks together take at most
-    len(fixed) steps.
+    Each gap is a stretch's first value of a class that a fixed value alone
+    covers; later values of the class, up to `end`, stay in b only while
+    fixed values cover them.  Each step passes a distinct fixed value of
+    the stretch, so all walks of all stretches take at most len(fixed)
+    steps.
     """
     fixed = set(fixed)
     ends = []
     for value in gaps:
         value += joint
-        while value in fixed:
+        while value < end and value in fixed:
             value += joint
         ends.append(value)
-    return min(ends)
+    least = min(ends)
+    return least if least < end else None
 
 
 def subset(a: SymSet, b: SymSet) -> SubsetWitness:
@@ -398,10 +408,11 @@ def subset(a: SymSet, b: SymSet) -> SubsetWitness:
 
     Points of a are looked up in a line index of b, which costs O(atoms of
     b) to build and O(tails on one line) per lookup.  Each tail of a is
-    decided in one joint period of its own step and the steps of b's tails
-    on its line, past the largest base among them (see `_tail_subset`):
-    O(atoms of b on the line + tails of b across it) plus one lookup per
-    value in the period.  The certificate is the least missing element, or
+    decided stretch by stretch between the bases of b's tails on its line,
+    each in one joint period of its own step and the steps of the tails
+    active there (see `_tail_subset`): O(atoms of b on the line + tails of
+    b across it) plus at most one lookup per value in each stretch's
+    period.  The certificate is the least missing element, or
     the largest covering bound over the tails of a (see `SubsetWitness`).
     """
     index = _LineIndex(b.atoms)

@@ -1,5 +1,6 @@
 """Command line behavior: output stability, JSON shape, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -745,6 +746,196 @@ _FIND_DISCONTINUITY_FOUND_JSON = (
 _FIND_DISCONTINUITY_NONE_TEXT = 'none\n'
 _FIND_DISCONTINUITY_NONE_JSON = '{"found": false, "witness": null}\n'
 
+_CLOSURE_BOUND30_TEXT = (
+    'saturated=false count=240\nb^1a^1\nb^1a^3\nb^1a^5\nb^1a^7\nb^1a^9\nb^1a^11\n'
+    'b^1a^13\nb^1a^15\nb^1a^17\nb^1a^19\nb^1a^21\nb^1a^23\nb^1a^25\nb^1a^27\nb^1a^29\n'
+    'b^2a^0\nb^3a^1\nb^3a^3\nb^3a^5\nb^3a^7\nb^3a^9\nb^3a^11\nb^3a^13\nb^3a^15\n'
+    'b^3a^17\nb^3a^19\nb^3a^21\nb^3a^23\nb^3a^25\nb^3a^27\nb^3a^29\nb^4a^0\nb^5a^1\n'
+    'b^5a^3\nb^5a^5\nb^5a^7\nb^5a^9\nb^5a^11\nb^5a^13\nb^5a^15\nb^5a^17\nb^5a^19\n'
+    'b^5a^21\nb^5a^23\nb^5a^25\nb^5a^27\nb^5a^29\nb^6a^0\nb^7a^1\nb^7a^3\nb^7a^5\n'
+    'b^7a^7\nb^7a^9\nb^7a^11\nb^7a^13\nb^7a^15\nb^7a^17\nb^7a^19\nb^7a^21\nb^7a^23\n'
+    'b^7a^25\nb^7a^27\nb^7a^29\nb^8a^0\nb^9a^1\nb^9a^3\nb^9a^5\nb^9a^7\nb^9a^9\n'
+    'b^9a^11\nb^9a^13\nb^9a^15\nb^9a^17\nb^9a^19\nb^9a^21\nb^9a^23\nb^9a^25\nb^9a^27\n'
+    'b^9a^29\nb^10a^0\nb^11a^1\nb^11a^3\nb^11a^5\nb^11a^7\nb^11a^9\nb^11a^11\n'
+    'b^11a^13\nb^11a^15\nb^11a^17\nb^11a^19\nb^11a^21\nb^11a^23\nb^11a^25\nb^11a^27\n'
+    'b^11a^29\nb^12a^0\nb^13a^1\nb^13a^3\nb^13a^5\nb^13a^7\nb^13a^9\nb^13a^11\n'
+    'b^13a^13\nb^13a^15\nb^13a^17\nb^13a^19\nb^13a^21\nb^13a^23\nb^13a^25\nb^13a^27\n'
+    'b^13a^29\nb^14a^0\nb^15a^1\nb^15a^3\nb^15a^5\nb^15a^7\nb^15a^9\nb^15a^11\n'
+    'b^15a^13\nb^15a^15\nb^15a^17\nb^15a^19\nb^15a^21\nb^15a^23\nb^15a^25\nb^15a^27\n'
+    'b^15a^29\nb^16a^0\nb^17a^1\nb^17a^3\nb^17a^5\nb^17a^7\nb^17a^9\nb^17a^11\n'
+    'b^17a^13\nb^17a^15\nb^17a^17\nb^17a^19\nb^17a^21\nb^17a^23\nb^17a^25\nb^17a^27\n'
+    'b^17a^29\nb^18a^0\nb^19a^1\nb^19a^3\nb^19a^5\nb^19a^7\nb^19a^9\nb^19a^11\n'
+    'b^19a^13\nb^19a^15\nb^19a^17\nb^19a^19\nb^19a^21\nb^19a^23\nb^19a^25\nb^19a^27\n'
+    'b^19a^29\nb^20a^0\nb^21a^1\nb^21a^3\nb^21a^5\nb^21a^7\nb^21a^9\nb^21a^11\n'
+    'b^21a^13\nb^21a^15\nb^21a^17\nb^21a^19\nb^21a^21\nb^21a^23\nb^21a^25\nb^21a^27\n'
+    'b^21a^29\nb^22a^0\nb^23a^1\nb^23a^3\nb^23a^5\nb^23a^7\nb^23a^9\nb^23a^11\n'
+    'b^23a^13\nb^23a^15\nb^23a^17\nb^23a^19\nb^23a^21\nb^23a^23\nb^23a^25\nb^23a^27\n'
+    'b^23a^29\nb^24a^0\nb^25a^1\nb^25a^3\nb^25a^5\nb^25a^7\nb^25a^9\nb^25a^11\n'
+    'b^25a^13\nb^25a^15\nb^25a^17\nb^25a^19\nb^25a^21\nb^25a^23\nb^25a^25\nb^25a^27\n'
+    'b^25a^29\nb^26a^0\nb^27a^1\nb^27a^3\nb^27a^5\nb^27a^7\nb^27a^9\nb^27a^11\n'
+    'b^27a^13\nb^27a^15\nb^27a^17\nb^27a^19\nb^27a^21\nb^27a^23\nb^27a^25\nb^27a^27\n'
+    'b^27a^29\nb^28a^0\nb^29a^1\nb^29a^3\nb^29a^5\nb^29a^7\nb^29a^9\nb^29a^11\n'
+    'b^29a^13\nb^29a^15\nb^29a^17\nb^29a^19\nb^29a^21\nb^29a^23\nb^29a^25\nb^29a^27\n'
+    'b^29a^29\nb^30a^0\n'
+)
+
+_CLOSURE_BOUND30_JSON = (
+    '{"bound": 30, "count": 240, "members": [{"k": 1, "l": 1, "text": "b^1a^1"}, '
+    '{"k": 1, "l": 3, "text": "b^1a^3"}, {"k": 1, "l": 5, "text": "b^1a^5"}, {"k": 1, '
+    '"l": 7, "text": "b^1a^7"}, {"k": 1, "l": 9, "text": "b^1a^9"}, {"k": 1, "l": 11, '
+    '"text": "b^1a^11"}, {"k": 1, "l": 13, "text": "b^1a^13"}, {"k": 1, "l": 15, '
+    '"text": "b^1a^15"}, {"k": 1, "l": 17, "text": "b^1a^17"}, {"k": 1, "l": 19, '
+    '"text": "b^1a^19"}, {"k": 1, "l": 21, "text": "b^1a^21"}, {"k": 1, "l": 23, '
+    '"text": "b^1a^23"}, {"k": 1, "l": 25, "text": "b^1a^25"}, {"k": 1, "l": 27, '
+    '"text": "b^1a^27"}, {"k": 1, "l": 29, "text": "b^1a^29"}, {"k": 2, "l": 0, '
+    '"text": "b^2a^0"}, {"k": 3, "l": 1, "text": "b^3a^1"}, {"k": 3, "l": 3, '
+    '"text": "b^3a^3"}, {"k": 3, "l": 5, "text": "b^3a^5"}, {"k": 3, "l": 7, '
+    '"text": "b^3a^7"}, {"k": 3, "l": 9, "text": "b^3a^9"}, {"k": 3, "l": 11, '
+    '"text": "b^3a^11"}, {"k": 3, "l": 13, "text": "b^3a^13"}, {"k": 3, "l": 15, '
+    '"text": "b^3a^15"}, {"k": 3, "l": 17, "text": "b^3a^17"}, {"k": 3, "l": 19, '
+    '"text": "b^3a^19"}, {"k": 3, "l": 21, "text": "b^3a^21"}, {"k": 3, "l": 23, '
+    '"text": "b^3a^23"}, {"k": 3, "l": 25, "text": "b^3a^25"}, {"k": 3, "l": 27, '
+    '"text": "b^3a^27"}, {"k": 3, "l": 29, "text": "b^3a^29"}, {"k": 4, "l": 0, '
+    '"text": "b^4a^0"}, {"k": 5, "l": 1, "text": "b^5a^1"}, {"k": 5, "l": 3, '
+    '"text": "b^5a^3"}, {"k": 5, "l": 5, "text": "b^5a^5"}, {"k": 5, "l": 7, '
+    '"text": "b^5a^7"}, {"k": 5, "l": 9, "text": "b^5a^9"}, {"k": 5, "l": 11, '
+    '"text": "b^5a^11"}, {"k": 5, "l": 13, "text": "b^5a^13"}, {"k": 5, "l": 15, '
+    '"text": "b^5a^15"}, {"k": 5, "l": 17, "text": "b^5a^17"}, {"k": 5, "l": 19, '
+    '"text": "b^5a^19"}, {"k": 5, "l": 21, "text": "b^5a^21"}, {"k": 5, "l": 23, '
+    '"text": "b^5a^23"}, {"k": 5, "l": 25, "text": "b^5a^25"}, {"k": 5, "l": 27, '
+    '"text": "b^5a^27"}, {"k": 5, "l": 29, "text": "b^5a^29"}, {"k": 6, "l": 0, '
+    '"text": "b^6a^0"}, {"k": 7, "l": 1, "text": "b^7a^1"}, {"k": 7, "l": 3, '
+    '"text": "b^7a^3"}, {"k": 7, "l": 5, "text": "b^7a^5"}, {"k": 7, "l": 7, '
+    '"text": "b^7a^7"}, {"k": 7, "l": 9, "text": "b^7a^9"}, {"k": 7, "l": 11, '
+    '"text": "b^7a^11"}, {"k": 7, "l": 13, "text": "b^7a^13"}, {"k": 7, "l": 15, '
+    '"text": "b^7a^15"}, {"k": 7, "l": 17, "text": "b^7a^17"}, {"k": 7, "l": 19, '
+    '"text": "b^7a^19"}, {"k": 7, "l": 21, "text": "b^7a^21"}, {"k": 7, "l": 23, '
+    '"text": "b^7a^23"}, {"k": 7, "l": 25, "text": "b^7a^25"}, {"k": 7, "l": 27, '
+    '"text": "b^7a^27"}, {"k": 7, "l": 29, "text": "b^7a^29"}, {"k": 8, "l": 0, '
+    '"text": "b^8a^0"}, {"k": 9, "l": 1, "text": "b^9a^1"}, {"k": 9, "l": 3, '
+    '"text": "b^9a^3"}, {"k": 9, "l": 5, "text": "b^9a^5"}, {"k": 9, "l": 7, '
+    '"text": "b^9a^7"}, {"k": 9, "l": 9, "text": "b^9a^9"}, {"k": 9, "l": 11, '
+    '"text": "b^9a^11"}, {"k": 9, "l": 13, "text": "b^9a^13"}, {"k": 9, "l": 15, '
+    '"text": "b^9a^15"}, {"k": 9, "l": 17, "text": "b^9a^17"}, {"k": 9, "l": 19, '
+    '"text": "b^9a^19"}, {"k": 9, "l": 21, "text": "b^9a^21"}, {"k": 9, "l": 23, '
+    '"text": "b^9a^23"}, {"k": 9, "l": 25, "text": "b^9a^25"}, {"k": 9, "l": 27, '
+    '"text": "b^9a^27"}, {"k": 9, "l": 29, "text": "b^9a^29"}, {"k": 10, "l": 0, '
+    '"text": "b^10a^0"}, {"k": 11, "l": 1, "text": "b^11a^1"}, {"k": 11, "l": 3, '
+    '"text": "b^11a^3"}, {"k": 11, "l": 5, "text": "b^11a^5"}, {"k": 11, "l": 7, '
+    '"text": "b^11a^7"}, {"k": 11, "l": 9, "text": "b^11a^9"}, {"k": 11, "l": 11, '
+    '"text": "b^11a^11"}, {"k": 11, "l": 13, "text": "b^11a^13"}, {"k": 11, "l": 15, '
+    '"text": "b^11a^15"}, {"k": 11, "l": 17, "text": "b^11a^17"}, {"k": 11, "l": 19, '
+    '"text": "b^11a^19"}, {"k": 11, "l": 21, "text": "b^11a^21"}, {"k": 11, "l": 23, '
+    '"text": "b^11a^23"}, {"k": 11, "l": 25, "text": "b^11a^25"}, {"k": 11, "l": 27, '
+    '"text": "b^11a^27"}, {"k": 11, "l": 29, "text": "b^11a^29"}, {"k": 12, "l": 0, '
+    '"text": "b^12a^0"}, {"k": 13, "l": 1, "text": "b^13a^1"}, {"k": 13, "l": 3, '
+    '"text": "b^13a^3"}, {"k": 13, "l": 5, "text": "b^13a^5"}, {"k": 13, "l": 7, '
+    '"text": "b^13a^7"}, {"k": 13, "l": 9, "text": "b^13a^9"}, {"k": 13, "l": 11, '
+    '"text": "b^13a^11"}, {"k": 13, "l": 13, "text": "b^13a^13"}, {"k": 13, "l": 15, '
+    '"text": "b^13a^15"}, {"k": 13, "l": 17, "text": "b^13a^17"}, {"k": 13, "l": 19, '
+    '"text": "b^13a^19"}, {"k": 13, "l": 21, "text": "b^13a^21"}, {"k": 13, "l": 23, '
+    '"text": "b^13a^23"}, {"k": 13, "l": 25, "text": "b^13a^25"}, {"k": 13, "l": 27, '
+    '"text": "b^13a^27"}, {"k": 13, "l": 29, "text": "b^13a^29"}, {"k": 14, "l": 0, '
+    '"text": "b^14a^0"}, {"k": 15, "l": 1, "text": "b^15a^1"}, {"k": 15, "l": 3, '
+    '"text": "b^15a^3"}, {"k": 15, "l": 5, "text": "b^15a^5"}, {"k": 15, "l": 7, '
+    '"text": "b^15a^7"}, {"k": 15, "l": 9, "text": "b^15a^9"}, {"k": 15, "l": 11, '
+    '"text": "b^15a^11"}, {"k": 15, "l": 13, "text": "b^15a^13"}, {"k": 15, "l": 15, '
+    '"text": "b^15a^15"}, {"k": 15, "l": 17, "text": "b^15a^17"}, {"k": 15, "l": 19, '
+    '"text": "b^15a^19"}, {"k": 15, "l": 21, "text": "b^15a^21"}, {"k": 15, "l": 23, '
+    '"text": "b^15a^23"}, {"k": 15, "l": 25, "text": "b^15a^25"}, {"k": 15, "l": 27, '
+    '"text": "b^15a^27"}, {"k": 15, "l": 29, "text": "b^15a^29"}, {"k": 16, "l": 0, '
+    '"text": "b^16a^0"}, {"k": 17, "l": 1, "text": "b^17a^1"}, {"k": 17, "l": 3, '
+    '"text": "b^17a^3"}, {"k": 17, "l": 5, "text": "b^17a^5"}, {"k": 17, "l": 7, '
+    '"text": "b^17a^7"}, {"k": 17, "l": 9, "text": "b^17a^9"}, {"k": 17, "l": 11, '
+    '"text": "b^17a^11"}, {"k": 17, "l": 13, "text": "b^17a^13"}, {"k": 17, "l": 15, '
+    '"text": "b^17a^15"}, {"k": 17, "l": 17, "text": "b^17a^17"}, {"k": 17, "l": 19, '
+    '"text": "b^17a^19"}, {"k": 17, "l": 21, "text": "b^17a^21"}, {"k": 17, "l": 23, '
+    '"text": "b^17a^23"}, {"k": 17, "l": 25, "text": "b^17a^25"}, {"k": 17, "l": 27, '
+    '"text": "b^17a^27"}, {"k": 17, "l": 29, "text": "b^17a^29"}, {"k": 18, "l": 0, '
+    '"text": "b^18a^0"}, {"k": 19, "l": 1, "text": "b^19a^1"}, {"k": 19, "l": 3, '
+    '"text": "b^19a^3"}, {"k": 19, "l": 5, "text": "b^19a^5"}, {"k": 19, "l": 7, '
+    '"text": "b^19a^7"}, {"k": 19, "l": 9, "text": "b^19a^9"}, {"k": 19, "l": 11, '
+    '"text": "b^19a^11"}, {"k": 19, "l": 13, "text": "b^19a^13"}, {"k": 19, "l": 15, '
+    '"text": "b^19a^15"}, {"k": 19, "l": 17, "text": "b^19a^17"}, {"k": 19, "l": 19, '
+    '"text": "b^19a^19"}, {"k": 19, "l": 21, "text": "b^19a^21"}, {"k": 19, "l": 23, '
+    '"text": "b^19a^23"}, {"k": 19, "l": 25, "text": "b^19a^25"}, {"k": 19, "l": 27, '
+    '"text": "b^19a^27"}, {"k": 19, "l": 29, "text": "b^19a^29"}, {"k": 20, "l": 0, '
+    '"text": "b^20a^0"}, {"k": 21, "l": 1, "text": "b^21a^1"}, {"k": 21, "l": 3, '
+    '"text": "b^21a^3"}, {"k": 21, "l": 5, "text": "b^21a^5"}, {"k": 21, "l": 7, '
+    '"text": "b^21a^7"}, {"k": 21, "l": 9, "text": "b^21a^9"}, {"k": 21, "l": 11, '
+    '"text": "b^21a^11"}, {"k": 21, "l": 13, "text": "b^21a^13"}, {"k": 21, "l": 15, '
+    '"text": "b^21a^15"}, {"k": 21, "l": 17, "text": "b^21a^17"}, {"k": 21, "l": 19, '
+    '"text": "b^21a^19"}, {"k": 21, "l": 21, "text": "b^21a^21"}, {"k": 21, "l": 23, '
+    '"text": "b^21a^23"}, {"k": 21, "l": 25, "text": "b^21a^25"}, {"k": 21, "l": 27, '
+    '"text": "b^21a^27"}, {"k": 21, "l": 29, "text": "b^21a^29"}, {"k": 22, "l": 0, '
+    '"text": "b^22a^0"}, {"k": 23, "l": 1, "text": "b^23a^1"}, {"k": 23, "l": 3, '
+    '"text": "b^23a^3"}, {"k": 23, "l": 5, "text": "b^23a^5"}, {"k": 23, "l": 7, '
+    '"text": "b^23a^7"}, {"k": 23, "l": 9, "text": "b^23a^9"}, {"k": 23, "l": 11, '
+    '"text": "b^23a^11"}, {"k": 23, "l": 13, "text": "b^23a^13"}, {"k": 23, "l": 15, '
+    '"text": "b^23a^15"}, {"k": 23, "l": 17, "text": "b^23a^17"}, {"k": 23, "l": 19, '
+    '"text": "b^23a^19"}, {"k": 23, "l": 21, "text": "b^23a^21"}, {"k": 23, "l": 23, '
+    '"text": "b^23a^23"}, {"k": 23, "l": 25, "text": "b^23a^25"}, {"k": 23, "l": 27, '
+    '"text": "b^23a^27"}, {"k": 23, "l": 29, "text": "b^23a^29"}, {"k": 24, "l": 0, '
+    '"text": "b^24a^0"}, {"k": 25, "l": 1, "text": "b^25a^1"}, {"k": 25, "l": 3, '
+    '"text": "b^25a^3"}, {"k": 25, "l": 5, "text": "b^25a^5"}, {"k": 25, "l": 7, '
+    '"text": "b^25a^7"}, {"k": 25, "l": 9, "text": "b^25a^9"}, {"k": 25, "l": 11, '
+    '"text": "b^25a^11"}, {"k": 25, "l": 13, "text": "b^25a^13"}, {"k": 25, "l": 15, '
+    '"text": "b^25a^15"}, {"k": 25, "l": 17, "text": "b^25a^17"}, {"k": 25, "l": 19, '
+    '"text": "b^25a^19"}, {"k": 25, "l": 21, "text": "b^25a^21"}, {"k": 25, "l": 23, '
+    '"text": "b^25a^23"}, {"k": 25, "l": 25, "text": "b^25a^25"}, {"k": 25, "l": 27, '
+    '"text": "b^25a^27"}, {"k": 25, "l": 29, "text": "b^25a^29"}, {"k": 26, "l": 0, '
+    '"text": "b^26a^0"}, {"k": 27, "l": 1, "text": "b^27a^1"}, {"k": 27, "l": 3, '
+    '"text": "b^27a^3"}, {"k": 27, "l": 5, "text": "b^27a^5"}, {"k": 27, "l": 7, '
+    '"text": "b^27a^7"}, {"k": 27, "l": 9, "text": "b^27a^9"}, {"k": 27, "l": 11, '
+    '"text": "b^27a^11"}, {"k": 27, "l": 13, "text": "b^27a^13"}, {"k": 27, "l": 15, '
+    '"text": "b^27a^15"}, {"k": 27, "l": 17, "text": "b^27a^17"}, {"k": 27, "l": 19, '
+    '"text": "b^27a^19"}, {"k": 27, "l": 21, "text": "b^27a^21"}, {"k": 27, "l": 23, '
+    '"text": "b^27a^23"}, {"k": 27, "l": 25, "text": "b^27a^25"}, {"k": 27, "l": 27, '
+    '"text": "b^27a^27"}, {"k": 27, "l": 29, "text": "b^27a^29"}, {"k": 28, "l": 0, '
+    '"text": "b^28a^0"}, {"k": 29, "l": 1, "text": "b^29a^1"}, {"k": 29, "l": 3, '
+    '"text": "b^29a^3"}, {"k": 29, "l": 5, "text": "b^29a^5"}, {"k": 29, "l": 7, '
+    '"text": "b^29a^7"}, {"k": 29, "l": 9, "text": "b^29a^9"}, {"k": 29, "l": 11, '
+    '"text": "b^29a^11"}, {"k": 29, "l": 13, "text": "b^29a^13"}, {"k": 29, "l": 15, '
+    '"text": "b^29a^15"}, {"k": 29, "l": 17, "text": "b^29a^17"}, {"k": 29, "l": 19, '
+    '"text": "b^29a^19"}, {"k": 29, "l": 21, "text": "b^29a^21"}, {"k": 29, "l": 23, '
+    '"text": "b^29a^23"}, {"k": 29, "l": 25, "text": "b^29a^25"}, {"k": 29, "l": 27, '
+    '"text": "b^29a^27"}, {"k": 29, "l": 29, "text": "b^29a^29"}, {"k": 30, "l": 0, '
+    '"text": "b^30a^0"}], "saturated": false}\n'
+)
+
+_CENSUS_BOUND30_TEXT = (
+    'count=15 verdict=infinite witness=b^1a^3,b^2a^0 note=strict pair generates an infinite diagonal family\n'
+)
+
+_CENSUS_BOUND30_JSON = (
+    '{"bound": 30, "count": 15, "descriptor": "gen:b^1a^3,b^2a^0", '
+    '"note": "strict pair generates an infinite diagonal family", '
+    '"verdict": "infinite", "witness": [{"k": 1, "l": 3, "text": "b^1a^3"}, {"k": 2, '
+    '"l": 0, "text": "b^2a^0"}]}\n'
+)
+
+_THM1_NBHD_BOUND20_TEXT = (
+    'i0=3 size=9\nb^0a^0 b^0a^1 b^0a^2 b^1a^0 b^1a^1 b^1a^2 b^2a^0 b^2a^1 b^2a^2\n'
+)
+
+_THM1_NBHD_BOUND20_JSON = (
+    '{"descriptor": "gen:b^0a^1,b^2a^0", "elements": [{"k": 0, "l": 0, '
+    '"text": "b^0a^0"}, {"k": 0, "l": 1, "text": "b^0a^1"}, {"k": 0, "l": 2, '
+    '"text": "b^0a^2"}, {"k": 1, "l": 0, "text": "b^1a^0"}, {"k": 1, "l": 1, '
+    '"text": "b^1a^1"}, {"k": 1, "l": 2, "text": "b^1a^2"}, {"k": 2, "l": 0, '
+    '"text": "b^2a^0"}, {"k": 2, "l": 1, "text": "b^2a^1"}, {"k": 2, "l": 2, '
+    '"text": "b^2a^2"}], "i0": 3, "size": 9}\n'
+)
+
+
+class _Sha256(str):
+    """A golden kept as the sha256 hex digest of its bytes, for outputs too long to inline."""
+
+
+# the whole box at bound 40: 1,681 members, 14 KB of text and 64 KB of JSON
+_CLOSURE_FULL_BOX_TEXT = _Sha256("dc243435beb711b78dea6a28334ded62264371ee481e4a112df373f02ed9a555")
+_CLOSURE_FULL_BOX_JSON = _Sha256("71a7baf39693ef11026c52fa524f14bd11529e88b6e61e10313e73816cc00df2")
+
 GOLDEN = {
     "closure": (["closure", "b^0a^1", "b^2a^0", "--bound", "12"], _CLOSURE_TEXT, _CLOSURE_JSON),
     "census": (["census", "gen:b^0a^2,b^1a^1", "--bound", "10"], _CENSUS_TEXT, _CENSUS_JSON),
@@ -752,6 +943,26 @@ GOLDEN = {
         ["thm1-nbhd", "gen:b^0a^1,b^2a^0", "b^1a^2", "--bound", "8"],
         _THM1_NBHD_TEXT,
         _THM1_NBHD_JSON,
+    ),
+    "closure-bound30": (
+        ["closure", "b^1a^3", "b^2a^0", "--bound", "30"],
+        _CLOSURE_BOUND30_TEXT,
+        _CLOSURE_BOUND30_JSON,
+    ),
+    "closure-full-box": (
+        ["closure", "b^0a^3", "b^5a^0", "--bound", "40"],
+        _CLOSURE_FULL_BOX_TEXT,
+        _CLOSURE_FULL_BOX_JSON,
+    ),
+    "census-bound30": (
+        ["census", "gen:b^1a^3,b^2a^0", "--bound", "30"],
+        _CENSUS_BOUND30_TEXT,
+        _CENSUS_BOUND30_JSON,
+    ),
+    "thm1-nbhd-bound20": (
+        ["thm1-nbhd", "gen:b^0a^1,b^2a^0", "b^1a^2", "--bound", "20"],
+        _THM1_NBHD_BOUND20_TEXT,
+        _THM1_NBHD_BOUND20_JSON,
     ),
     "verify-prop1": (["verify", "prop1"], _VERIFY_PROP1_TEXT, _VERIFY_PROP1_JSON),
     "verify-core-oracle": (["verify", "core-oracle"], _VERIFY_CORE_ORACLE_TEXT, _VERIFY_CORE_ORACLE_JSON),
@@ -845,8 +1056,11 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_bytes(capsys, name):
     argv, text, doc = GOLDEN[name]
-    assert run(capsys, *argv) == (0, text, "")
-    assert run(capsys, *argv, "--format", "json") == (0, doc, "")
+    for extra, expected in (((), text), (("--format", "json"), doc)):
+        code, out, err = run(capsys, *argv, *extra)
+        if isinstance(expected, _Sha256):
+            out = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, out, err) == (0, expected, "")
 
 
 _VERIFY_UNKNOWN_SUITE_ERR = (

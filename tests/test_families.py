@@ -1,8 +1,9 @@
 """Named families: membership, closure, census, idempotent families, finite blocks."""
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -137,6 +138,109 @@ def test_closure_matches_naive_fixpoint_on_random_triples():
         gens = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(3)]
         top = max(max(g) for g in gens)
         _assert_matches_naive(gens, top + rng.randint(0, 4))
+
+
+def _worklist_closure(gens, bound):
+    """The difference-indexed worklist engine that the row-bitmask fixpoint
+    replaced, kept as a reference: (members as exponent pairs, saturated)."""
+    seen = set(gens)
+    work = list(seen)
+    rows = defaultdict(list)  # k -> the l of each member taken so far with that k
+    cols = defaultdict(list)  # l -> the k of each member taken so far with that l
+    min_l = {}  # k - l -> least l among members taken so far
+    min_k = {}  # l - k -> least k among members taken so far
+    saturated = True
+    while work:
+        a, b = work.pop()
+        rows[a].append(b)
+        cols[b].append(a)
+        out = []
+        old = min_l.get(a - b, bound + 1)
+        if b < old:
+            min_l[a - b] = b
+            out += [(c + a - b, d) for c in range(b, old) for d in rows[c]]
+        old = min_k.get(b - a, bound + 1)
+        if a < old:
+            min_k[b - a] = a
+            out += [(c, d + b - a) for d in range(a, old) for c in cols[d]]
+        out += [(a + dx, b) for dx, least in min_l.items() if least <= a]
+        out += [(a, b + ey) for ey, least in min_k.items() if least <= b]
+        for z in out:
+            if z[0] > bound or z[1] > bound:
+                saturated = False
+            elif z not in seen:
+                seen.add(z)
+                work.append(z)
+    return seen, saturated
+
+
+def _assert_matches_worklist(gens, bound):
+    got = closure([E(k, l) for k, l in gens], bound)
+    members, saturated = _worklist_closure(gens, bound)
+    assert {(e.k, e.l) for e in got.members} == members, (gens, bound)
+    assert got.saturated == saturated, (gens, bound)
+    return got
+
+
+def test_closure_matches_worklist_engine_on_random_sets():
+    rng = random.Random(20261019)
+    saturated = Counter()
+    for _ in range(400):
+        bound = rng.randint(0, 30)
+        top = rng.randint(0, bound)
+        gens = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(rng.randint(1, 4))]
+        saturated[_assert_matches_worklist(gens, bound).saturated] += 1
+    assert saturated[True] > 50 and saturated[False] > 50
+
+
+def _class_gens(rng, cls):
+    """Generator sets of the kinds whose closures cost the most and the least."""
+    if cls in ("dense", "sparse"):  # strict pairs; dense has coprime differences
+        steps = (1, 2, 3) if cls == "dense" else (2, 4)
+        k, l = rng.choice(steps), rng.choice(steps)
+        while cls == "dense" and gcd(k, l) != 1:
+            k, l = rng.choice(steps), rng.choice(steps)
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        gens = [(i, i + k), (j + l, j)]
+        if cls == "dense" and rng.random() < 0.5:
+            gens.append((rng.randint(0, 3), rng.randint(0, 3)))
+        return gens
+    if cls == "upper":
+        gens = []
+        while len(set(gens)) < 2 or all(k == l for k, l in gens):
+            gens = [(k, k + rng.randint(0, 3)) for k in rng.sample(range(4), rng.randint(2, 3))]
+        return gens
+    return [(n, n) for n in rng.sample(range(1, 5), 2)]
+
+
+@pytest.mark.parametrize("cls", ["dense", "sparse", "upper", "idem"])
+def test_closure_matches_worklist_engine_on_shifted_and_inverted_classes(cls):
+    rng = random.Random(f"closure-{cls}")
+    for _ in range(30):
+        c = rng.randint(0, 3)  # the diagonal shift x -> b^c x a^c
+        flip = rng.random() < 0.5  # the inversion b^k a^l -> b^l a^k
+        gens = [(l + c, k + c) if flip else (k + c, l + c) for k, l in _class_gens(rng, cls)]
+        bound = max(max(g) for g in gens) + rng.randint(0, 14)
+        _assert_matches_worklist(gens, bound)
+
+
+@pytest.mark.parametrize(
+    "gens,bound",
+    [
+        ([(0, 1)], 200),
+        ([(1, 0)], 200),
+        ([(2, 2), (5, 5)], 12),
+        ([(0, 0), (7, 7)], 7),
+        ([(0, 5), (5, 0)], 5),
+        ([(5, 5), (0, 5)], 5),
+        ([(5, 2), (3, 5)], 5),
+        ([(9, 0), (0, 9), (9, 9)], 9),
+        ([(0, 1), (1, 0)], 1),
+        ([(2, 6), (6, 3)], 6),
+    ],
+)
+def test_closure_matches_worklist_engine_on_edge_cases(gens, bound):
+    _assert_matches_worklist(gens, bound)
 
 
 @pytest.fixture

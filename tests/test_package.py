@@ -1,5 +1,6 @@
 """The package surface: every public name resolves, whichever layers it lazily loads."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -96,8 +97,18 @@ def test_symset_stays_the_function_after_its_siblings_load():
     assert callable(bicyclic.symset)
 
 
+# sha256 of each demo's stdout
+DEMO_OUTPUT = {
+    "01_arithmetic_tour.py": "6fc6668e9883be20152f31a8bcc04f9d61d1397fb03283bdf31d1dc0b0b394c3",
+    "02_neighborhood_blocks.py": "39224dcbc48cd032814ea3b10194709be64d2818ee5857ceb2eb8ec44281d2c8",
+    "03_subsemigroup_census.py": "87b91efcb8391f1600037dfa019055d9a4d7cb2b3ee5e75a92392d97c1612e0e",
+    "04_topologies.py": "c7d5c928b30fea07bc998dd8a62470cca4c2f43fc99e7ecbd0f4717996331ef8",
+    "05_continuity_verdicts.py": "34b998d15ab49dd3620c0660de548646c54524becf93a374b5175963d8669e8d",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    assert len(DEMOS) == 5
+    assert [d.name for d in DEMOS] == sorted(DEMO_OUTPUT)
     out = run_fresh(f"import runpy; runpy.run_path({str(demo)!r}, run_name='__main__')")
-    assert out.strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_OUTPUT[demo.name], out

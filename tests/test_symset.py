@@ -259,13 +259,17 @@ def test_line_index_matches_all_pairs_reference():
     assert outcomes == disjoint == {True, False}
 
 
-def _walk_case(rng, cover):
+def _walk_case(rng, cover, tails=(1, 2), bases=12):
     """A row tail and a target whose row tails miss some of the tail's residue
     classes mod the joint period.  `cover` ("points" or "crossers") fills each
     missed class up to the window and, past it, for one to four periods;
-    a few holes are punched at random."""
+    a few holes are punched at random.  `tails` bounds the number of row tails
+    and `bases` their bases, which cut the tail into stretches."""
     row = rng.randint(0, 5)
-    same = [RowTail(row, rng.randint(0, 12), rng.choice([4, 6, 8, 9, 12])) for _ in range(rng.randint(1, 2))]
+    same = [
+        RowTail(row, rng.randint(0, bases), rng.choice([4, 6, 8, 9, 12]))
+        for _ in range(rng.randint(*tails))
+    ]
     # the tail's step shares factors with the row tails' steps
     tail = RowTail(row, rng.randint(0, 12), rng.choice([2, 3, 4, 6]))
     top = max([tail.base] + [t.base for t in same])
@@ -291,28 +295,36 @@ def test_class_walk_matches_the_in_order_scan(monkeypatch):
     walks = 0
     walk = symset_module._walk_classes
 
-    def counted(gaps, joint, fixed):
+    def counted(*args):
         nonlocal walks
         walks += 1
-        return walk(gaps, joint, fixed)
+        return walk(*args)
 
     monkeypatch.setattr(symset_module, "_walk_classes", counted)
     rng = random.Random(20261019)
-    for cover in ("points", "crossers"):
-        walks = deep = 0
-        for case in range(150):
-            a, b, end, joint = _walk_case(rng, cover)
-            if case % 3 == 1:
-                b = canonicalize(b)
-            if case % 2:
-                a, b = transpose(a), transpose(b)
-            got = subset(a, b)
-            assert got == _ref_subset(a, b)
-            x = got.counterexample
-            if x is not None and (x.k if case % 2 else x.l) > end + joint:
-                deep += 1
-        # the walk decides most cases, some of them periods past the window
-        assert walks > 100 and deep > 10
+    kinds = [
+        # one or two row tails based near the tail: the walks past the window
+        # decide most cases, some of them periods past it
+        ({}, lambda v, end, joint: v > end + joint),
+        # two to four row tails based far apart: the stretches below the
+        # largest base are walked too, and some counterexamples lie there
+        ({"tails": (2, 4), "bases": 60}, lambda v, end, joint: v <= end - joint),
+    ]
+    for case_args, notable in kinds:
+        for cover in ("points", "crossers"):
+            walks = found = 0
+            for case in range(150):
+                a, b, end, joint = _walk_case(rng, cover, **case_args)
+                if case % 3 == 1:
+                    b = canonicalize(b)
+                if case % 2:
+                    a, b = transpose(a), transpose(b)
+                got = subset(a, b)
+                assert got == _ref_subset(a, b)
+                x = got.counterexample
+                if x is not None and notable(x.k if case % 2 else x.l, end, joint):
+                    found += 1
+            assert walks > 100 and found > 10
 
 
 def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
@@ -327,14 +339,16 @@ def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
     monkeypatch.setattr(symset_module._LineIndex, "has", counted)
     cases = [
         # one lookup per value of an 81 * 81 period made 82 lookups
-        (symset(RowTail(0, 0, 81)), symset(RowTail(0, 0, 81)), 6561),
+        (symset(RowTail(0, 0, 81)), symset(RowTail(0, 0, 81)), 6561, 3),
         # a crossing tail far out on the row made 1,000,002 lookups
-        (symset(RowTail(0, 0, 1)), symset(RowTail(0, 0, 1), ColTail(10**6, 0, 1)), 10**6 + 1),
+        (symset(RowTail(0, 0, 1)), symset(RowTail(0, 0, 1), ColTail(10**6, 0, 1)), 10**6 + 1, 3),
+        # a second row tail based far out made 500,001 lookups below its base
+        (symset(RowTail(0, 0, 2)), symset(RowTail(0, 0, 2), RowTail(0, 999999, 2)), 10**6 + 3, 8),
     ]
-    for a, b, bound in cases:
+    for a, b, bound, most in cases:
         calls = 0
         assert subset(a, b) == SubsetWitness(True, covering_bound=bound)
-        assert calls <= 3
+        assert calls <= most
 
 
 def test_canonicalize_scans_only_the_lines_of_each_atom(monkeypatch):
