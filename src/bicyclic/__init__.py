@@ -29,9 +29,9 @@ _LAYERS = {
         "SymSet", "Single", "RowTail", "ColTail", "EMPTY", "symset", "member",
         "members", "atom_members", "canonicalize", "union", "subset",
         "SubsetWitness", "intersection_empty", "transpose", "left_image",
-        "right_image", "product", "pointwise_witness",
-        "UnrepresentableProductError", "parse_symset", "format_symset",
-        "symset_to_records", "symset_from_records",
+        "right_image", "product", "UnrepresentableProductError",
+        "parse_symset", "format_symset", "symset_to_records",
+        "symset_from_records",
     ),
     "families": (
         "SetDescriptor", "Full", "CPlus", "CMinus", "CPlusRow", "CPlusWindow",

@@ -5,7 +5,8 @@ a JSON document with sorted keys, so repeated invocations on the same
 input are byte-identical.  Exit codes: 0 for a successfully answered
 query (even when the answer is "false" or "none"), 1 for a verification
 suite that ran and failed, 2 for unusable input or violated
-preconditions.
+preconditions, and 141 (128 + SIGPIPE) when the reader of the output
+closed the pipe before it was written.
 
 Beyond `element` and `symset`, each command imports the layers it uses
 inside its handler, so a process compiles only the modules its command
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .element import (
@@ -532,10 +534,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    out = json.dumps(payload, sort_keys=True) if args.format == "json" else text
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (say `| head`): send what is still buffered to
+        # devnull, so the flush at shutdown stays quiet, and exit as a
+        # process that SIGPIPE ended would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     return code
 
 

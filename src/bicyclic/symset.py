@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Union
 
-from .element import BicyclicElement, invert, multiply, solve_left, solve_right
+from .element import BicyclicElement, invert, multiply
 
 __all__ = [
     "Single",
@@ -180,27 +180,6 @@ def _atom_key(atom: Atom):
     return (2, atom.col, atom.base, atom.step)
 
 
-def _atom_contains(outer: Atom, inner: Atom) -> bool:
-    """Whole-atom containment inner <= outer."""
-    if isinstance(inner, Single):
-        return atom_member(outer, inner.element)
-    if isinstance(inner, RowTail) and isinstance(outer, RowTail):
-        return (
-            inner.row == outer.row
-            and inner.base >= outer.base
-            and (inner.base - outer.base) % outer.step == 0
-            and inner.step % outer.step == 0
-        )
-    if isinstance(inner, ColTail) and isinstance(outer, ColTail):
-        return (
-            inner.col == outer.col
-            and inner.base >= outer.base
-            and (inner.base - outer.base) % outer.step == 0
-            and inner.step % outer.step == 0
-        )
-    return False  # an infinite tail never fits a Single or the other orientation
-
-
 class _LineIndex:
     """The atoms of one set, looked up by the row or column they lie on.
 
@@ -237,13 +216,6 @@ class _LineIndex:
             or _any_on_progression(self.tails[1].get(l, ()), k)
         )
 
-    def absorbers(self, atom: Atom) -> list:
-        """The atoms that can contain `atom`: the tails on its own lines."""
-        if isinstance(atom, Single):
-            return self.tails[0].get(atom.element.k, []) + self.tails[1].get(atom.element.l, [])
-        axis, line = _tail_line(atom)
-        return self.tails[axis].get(line, [])
-
 
 def _tail_line(tail) -> tuple:
     """(axis, line) of a tail: (0, row) for a RowTail, (1, col) for a ColTail."""
@@ -263,25 +235,61 @@ def _any_on_progression(tails, value: int) -> bool:
     return False
 
 
+def _any_holds_tail(tails, tail) -> bool:
+    """Whether another of `tails`, all on the tail's line, contains the whole tail.
+
+    It does when the tail's base is on its progression and the tail's step
+    is a multiple of its step.
+    """
+    base, step = tail.base, tail.step
+    for other in tails:
+        if (
+            other is not tail
+            and step % other.step == 0
+            and base >= other.base
+            and (base - other.base) % other.step == 0
+        ):
+            return True
+    return False
+
+
 def canonicalize(s: SymSet) -> SymSet:
     """Deterministic normal form: dedupe, drop atoms absorbed by another, sort.
 
+    Atoms are deduplicated by `_atom_key`, whose plain tuple hashes in C
+    where the dataclass hash is a Python method (two nested ones for a
+    Single).  The
+    key is injective: its first entry names the atom's kind and the other
+    three are all of that kind's fields, so two atoms share a key exactly
+    when they are equal.
+
     Only a tail can absorb an atom, and only a tail on one of the atom's own
-    lines, so each atom is tested against those alone through a line index.
-    The index costs O(atoms) to build and each atom then O(tails on its
-    lines), however many points share a line.
+    lines, so one line index of the distinct atoms answers every test: a
+    point b^k a^l is dropped when a tail on row k takes l or a tail on
+    column l takes k, and a tail when another tail on its line holds its
+    base and has a step dividing its own.  The whole pass costs O(atoms +
+    the tails on each atom's lines), however many points share a line.
+    The kept keys are sorted, which orders the atoms as sorting them by key
+    would, without computing any key again.
     """
-    atoms = set(s.atoms)
-    index = _LineIndex(atoms)
+    by_key = {_atom_key(a): a for a in s.atoms}
+    index = _LineIndex(by_key.values())
+    rows, cols = index.tails
+    kept = []
     # distinct atoms never contain each other mutually, so dropping every
     # absorbed atom cannot empty an equivalence class
-    kept = [
-        a
-        for a in atoms
-        if not any(b is not a and _atom_contains(b, a) for b in index.absorbers(a))
-    ]
-    kept.sort(key=_atom_key)
-    return SymSet(tuple(kept))
+    for key, atom in by_key.items():
+        kind, line, value, _ = key
+        if kind == 0:
+            if _any_on_progression(rows.get(line, ()), value) or _any_on_progression(
+                cols.get(value, ()), line
+            ):
+                continue
+        elif _any_holds_tail(index.tails[kind - 1][line], atom):
+            continue
+        kept.append(key)
+    kept.sort()
+    return SymSet(tuple(by_key[key] for key in kept))
 
 
 def union(*sets: SymSet) -> SymSet:
@@ -490,26 +498,43 @@ def _first_value_above(base: int, step: int, threshold: int) -> int:
     return base + step * ((threshold - base) // step + 1)
 
 
-def _left_image_atom(s: BicyclicElement, atom: Atom) -> list:
+def _point(axis: int, k: int, l: int) -> Single:
+    """{b^k a^l} on axis 0; on axis 1 its transpose {b^l a^k}."""
+    return Single(BicyclicElement(k, l) if axis == 0 else BicyclicElement(l, k))
+
+
+def _tail(axis: int, line: int, base: int, step: int) -> Atom:
+    """A RowTail on row `line` (axis 0) or a ColTail on column `line` (axis 1)."""
+    return RowTail(line, base, step) if axis == 0 else ColTail(line, base, step)
+
+
+def _left_image_atom(s: BicyclicElement, atom: Atom, axis: int = 0) -> list:
+    """The atoms of { s * x : x in atom }, transposed when axis is 1.
+
+    Axis 1 builds each output atom in its transposed orientation directly,
+    which is what `_right_image_atom` needs, so no output atom is built
+    twice.  The tail, when there is one, is the last atom.
+    """
     if isinstance(atom, Single):
-        return [Single(multiply(s, atom.element))]
+        z = multiply(s, atom.element)
+        return [Single(z if axis == 0 else invert(z))]
     if isinstance(atom, RowTail):
         # the comparison s.l vs row is the same for every member
         if s.l < atom.row:
-            return [RowTail(s.k - s.l + atom.row, atom.base, atom.step)]
+            return [_tail(axis, s.k - s.l + atom.row, atom.base, atom.step)]
         if s.l == atom.row:
-            return [RowTail(s.k, atom.base, atom.step)]
-        return [RowTail(s.k, s.l - atom.row + atom.base, atom.step)]
+            return [_tail(axis, s.k, atom.base, atom.step)]
+        return [_tail(axis, s.k, s.l - atom.row + atom.base, atom.step)]
     # ColTail: the comparison s.l vs the running first exponent splits the tail
     out = []
     value = atom.base
     while value < s.l:  # finitely many members below s.l collapse to points
-        out.append(Single(BicyclicElement(s.k, s.l - value + atom.col)))
+        out.append(_point(axis, s.k, s.l - value + atom.col))
         value += atom.step
     if value == s.l:
-        out.append(Single(BicyclicElement(s.k, atom.col)))
+        out.append(_point(axis, s.k, atom.col))
     high = _first_value_above(atom.base, atom.step, s.l)
-    out.append(ColTail(atom.col, s.k - s.l + high, atom.step))
+    out.append(_tail(1 - axis, atom.col, s.k - s.l + high, atom.step))
     return out
 
 
@@ -522,8 +547,12 @@ def left_image(s: BicyclicElement, sets: SymSet) -> SymSet:
 
 
 def _right_image_atom(atom: Atom, s: BicyclicElement) -> list:
-    # inversion is an anti-isomorphism: x * s = inv(inv(s) * inv(x))
-    return [_transpose_atom(z) for z in _left_image_atom(invert(s), _transpose_atom(atom))]
+    # inversion is an anti-isomorphism, x * s = inv(inv(s) * inv(x)): the
+    # right image is the left image by inv(s) of the transposed atom, built
+    # transposed back (axis 1); only the input atom is transposed
+    if isinstance(atom, Single):
+        return [Single(multiply(atom.element, s))]
+    return _left_image_atom(invert(s), _transpose_atom(atom), 1)
 
 
 def right_image(sets: SymSet, s: BicyclicElement) -> SymSet:
@@ -537,12 +566,13 @@ def right_image(sets: SymSet, s: BicyclicElement) -> SymSet:
 # --- products --------------------------------------------------------------------
 
 
-def _semigroup_atoms(row: int, base: int, d1: int, d2: int) -> list:
+def _semigroup_atoms(row: int, base: int, d1: int, d2: int, axis: int = 0) -> list:
     """Atoms for { b^row a^(base + v) : v in the semigroup generated by d1, d2 }.
 
     With g = gcd, the set g*<d1/g, d2/g> has a finite exceptional part below
     g * conductor and then every multiple of g; conductor is the coprime
-    Frobenius bound (a-1)(b-1).
+    Frobenius bound (a-1)(b-1).  Axis 1 builds the transposed atoms, the
+    tail last.
     """
     g = gcd(d1, d2)
     a, b = d1 // g, d2 // g
@@ -554,21 +584,22 @@ def _semigroup_atoms(row: int, base: int, d1: int, d2: int) -> list:
         for v in range((conductor - a * u) // b + 1 if conductor >= a * u else 0)
     }
     for s in sorted(v for v in reachable if v < conductor):
-        atoms.append(Single(BicyclicElement(row, base + g * s)))
-    atoms.append(RowTail(row, base + g * conductor, g))
+        atoms.append(_point(axis, row, base + g * s))
+    atoms.append(_tail(axis, row, base + g * conductor, g))
     return atoms
 
 
-def _product_row_row(x: RowTail, y: RowTail) -> list:
+def _product_row_row(x: RowTail, y: RowTail, axis: int = 0) -> list:
+    """The atoms of x * y, transposed when axis is 1; the far tail is last."""
     atoms = []
     value = x.base
     while value < y.row:  # low members of x act by shifting into y's row copy
-        atoms.append(RowTail(x.row - value + y.row, y.base, y.step))
+        atoms.append(_tail(axis, x.row - value + y.row, y.base, y.step))
         value += x.step
     if value == y.row:
-        atoms.append(RowTail(x.row, y.base, y.step))
+        atoms.append(_tail(axis, x.row, y.base, y.step))
     high = _first_value_above(x.base, x.step, y.row)
-    atoms.extend(_semigroup_atoms(x.row, high - y.row + y.base, x.step, y.step))
+    atoms.extend(_semigroup_atoms(x.row, high - y.row + y.base, x.step, y.step, axis))
     return atoms
 
 
@@ -604,38 +635,14 @@ def product(a: SymSet, b: SymSet) -> SymSet:
             elif isinstance(x, RowTail) and isinstance(y, ColTail):
                 atoms.extend(_product_row_col(x, y))
             elif isinstance(x, ColTail) and isinstance(y, ColTail):
-                atoms.extend(
-                    _transpose_atom(z)
-                    for z in _product_row_row(_transpose_atom(y), _transpose_atom(x))
-                )
+                # x * y = inv(inv(y) * inv(x)), built transposed back (axis 1)
+                atoms.extend(_product_row_row(_transpose_atom(y), _transpose_atom(x), 1))
             else:
                 raise UnrepresentableProductError(
                     "ColTail * RowTail is a two-dimensional set and has no "
                     "finite representation in this atom vocabulary"
                 )
     return canonicalize(SymSet(tuple(atoms)))
-
-
-def pointwise_witness(a: SymSet, b: SymSet, z: BicyclicElement, scan: int = 80):
-    """A pair (x, y) with x in a, y in b and x*y = z, or None within the scan.
-
-    Used by verification code to confirm that every claimed product member
-    is a genuine product.  A factor from a Single of b is found exactly by
-    solve_right, and once x is fixed solve_left finds y exactly, so the
-    search is exact whenever either factor is a point; a tail of a is
-    scanned over its first `scan` members.
-    """
-    for atom in b.atoms:
-        if isinstance(atom, Single):
-            for x in solve_right(z, atom.element):
-                if member(a, x):
-                    return (x, atom.element)
-    for atom in a.atoms:
-        for x in atom_members(atom, scan):
-            for y in solve_left(x, z):
-                if member(b, y):
-                    return (x, y)
-    return None
 
 
 # --- text and record forms --------------------------------------------------------

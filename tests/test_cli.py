@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -935,6 +936,12 @@ class _Sha256(str):
 # the whole box at bound 40: 1,681 members, 14 KB of text and 64 KB of JSON
 _CLOSURE_FULL_BOX_TEXT = _Sha256("dc243435beb711b78dea6a28334ded62264371ee481e4a112df373f02ed9a555")
 _CLOSURE_FULL_BOX_JSON = _Sha256("71a7baf39693ef11026c52fa524f14bd11529e88b6e61e10313e73816cc00df2")
+# a column x column product with coprime steps 13 and 31: 180 points below the conductor
+_PRODUCT_COLS_TEXT = _Sha256("28c4e46b4cd7a409bbf751dbdddba71b8158d406de65fb964d1e67db8e41d3f4")
+_PRODUCT_COLS_JSON = _Sha256("7bc07fc2530a1bb6449b17320f1f33da3aafceccea9d62580b0762573708457e")
+# a right image whose row tail splits into 191 points (190 members below s.k, one at it) and a tail
+_IMAGE_SPLIT_TEXT = _Sha256("08fa1df48ad66c9c5ec94534d1481853a1f655386330fcd7e60109c6b47e5ba2")
+_IMAGE_SPLIT_JSON = _Sha256("e2d72f4dd0da4859f61aa023265d5ddcb8a2b13dbeccf9daa8c735392b8d3617")
 
 GOLDEN = {
     "closure": (["closure", "b^0a^1", "b^2a^0", "--bound", "12"], _CLOSURE_TEXT, _CLOSURE_JSON),
@@ -984,7 +991,17 @@ GOLDEN = {
         _IMAGE_RIGHT_TEXT,
         _IMAGE_RIGHT_JSON,
     ),
+    "image-right-split": (
+        ["image", "--side", "right", "b^190a^0", "{b^3 a^(0+1t)}"],
+        _IMAGE_SPLIT_TEXT,
+        _IMAGE_SPLIT_JSON,
+    ),
     "product": (["product", "{b^0 a^(1+4t)}", "{b^2 a^(0+9t)}"], _PRODUCT_TEXT, _PRODUCT_JSON),
+    "product-col-col": (
+        ["product", "{b^(0+13t) a^2}", "{b^(0+31t) a^2}"],
+        _PRODUCT_COLS_TEXT,
+        _PRODUCT_COLS_JSON,
+    ),
     "subset-true": (
         [
             "subset",
@@ -1192,6 +1209,22 @@ def test_module_entry_point():
         text=True,
     )
     assert r.returncode == 0 and r.stdout == "b^4a^1\n"
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # the reader is gone before the command writes: the write end of a pipe
+    # whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "bicyclic", "mul", "b^2a^3", "b^5a^1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, b"")
 
 
 # --- what each command loads ----------------------------------------------------------------------

@@ -27,9 +27,10 @@ from bicyclic import (
     members,
     multiply,
     parse_symset,
-    pointwise_witness,
     product,
     right_image,
+    solve_left,
+    solve_right,
     subset,
     symset,
     symset_from_records,
@@ -37,6 +38,7 @@ from bicyclic import (
     transpose,
     union,
 )
+from bicyclic.symset import _left_image_atom, _product_row_row, _right_image_atom, _transpose_atom
 from bicyclic.symset import atom_disjoint, atom_member
 
 symset_module = importlib.import_module("bicyclic.symset")
@@ -49,6 +51,27 @@ coltails = st.builds(ColTail, st.integers(0, 6), st.integers(0, 12), steps)
 singles = st.builds(Single, st.builds(E, st.integers(0, 8), st.integers(0, 8)))
 atoms = st.one_of(singles, rowtails, coltails)
 elems = st.builds(E, st.integers(0, 8), st.integers(0, 8))
+
+
+def pointwise_witness(a: SymSet, b: SymSet, z: E, scan: int = 80):
+    """A pair (x, y) with x in a, y in b and x*y = z, or None within the scan.
+
+    Confirms that a claimed product member is a genuine product.  A factor
+    from a Single of b is found exactly by solve_right, and once x is fixed
+    solve_left finds y exactly, so the search is exact whenever either
+    factor is a point; a tail of a is scanned over its first `scan` members.
+    """
+    for atom in b.atoms:
+        if isinstance(atom, Single):
+            for x in solve_right(z, atom.element):
+                if member(a, x):
+                    return (x, atom.element)
+    for atom in a.atoms:
+        for x in atom_members(atom, scan):
+            for y in solve_left(x, z):
+                if member(b, y):
+                    return (x, y)
+    return None
 
 
 # --- membership -----------------------------------------------------------------
@@ -167,14 +190,31 @@ def _ref_member(atom_list, x):
     return any(atom_member(a, x) for a in atom_list)
 
 
+def _atom_contains(outer, inner) -> bool:
+    """Whole-atom containment inner <= outer."""
+    if isinstance(inner, Single):
+        return atom_member(outer, inner.element)
+    if isinstance(inner, RowTail) and isinstance(outer, RowTail):
+        return (
+            inner.row == outer.row
+            and inner.base >= outer.base
+            and (inner.base - outer.base) % outer.step == 0
+            and inner.step % outer.step == 0
+        )
+    if isinstance(inner, ColTail) and isinstance(outer, ColTail):
+        return (
+            inner.col == outer.col
+            and inner.base >= outer.base
+            and (inner.base - outer.base) % outer.step == 0
+            and inner.step % outer.step == 0
+        )
+    return False  # an infinite tail never fits a Single or the other orientation
+
+
 def _ref_canonicalize(s):
     atom_list = sorted(set(s.atoms), key=symset_module._atom_key)
     return SymSet(
-        tuple(
-            a
-            for a in atom_list
-            if not any(b != a and symset_module._atom_contains(b, a) for b in atom_list)
-        )
+        tuple(a for a in atom_list if not any(b != a and _atom_contains(b, a) for b in atom_list))
     )
 
 
@@ -352,20 +392,150 @@ def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
 
 
 def test_canonicalize_scans_only_the_lines_of_each_atom(monkeypatch):
-    calls = 0
-    contains = symset_module._atom_contains
+    """Count canonicalize's work: each call of a progression helper is one
+    lookup, and each tail handed to it one progression test."""
+    lookups = tests = 0
 
-    def counted(outer, inner):
-        nonlocal calls
-        calls += 1
-        return contains(outer, inner)
+    def counting(helper):
+        def counted(tails, value):
+            nonlocal lookups, tests
+            lookups += 1
+            tests += len(tails)
+            return helper(tails, value)
 
-    monkeypatch.setattr(symset_module, "_atom_contains", counted)
+        return counted
+
+    for name in ("_any_on_progression", "_any_holds_tail"):
+        monkeypatch.setattr(symset_module, name, counting(getattr(symset_module, name)))
+
+    def line_tests(atom_list):
+        """Progression tests when every atom scans the tails on its own lines."""
+        rows, cols = {}, {}
+        for atom in atom_list:
+            if isinstance(atom, RowTail):
+                rows[atom.row] = rows.get(atom.row, 0) + 1
+            elif isinstance(atom, ColTail):
+                cols[atom.col] = cols.get(atom.col, 0) + 1
+        total = 0
+        for atom in atom_list:
+            if isinstance(atom, Single):
+                total += rows.get(atom.element.k, 0) + cols.get(atom.element.l, 0)
+            elif isinstance(atom, RowTail):
+                total += rows[atom.row]
+            else:
+                total += cols[atom.col]
+        return total
+
     # 2,001 points on row 0 and one column tail: the all-pairs scan made
     # about 4 million containment tests here
     img = left_image(E(0, 2000), symset(ColTail(0, 0, 1)))
     assert len(img.atoms) == 2002
-    assert calls <= 2 * len(img.atoms)
+    lookups = tests = 0
+    assert canonicalize(img) == img
+    assert len(img.atoms) <= lookups <= 2 * len(img.atoms)
+    assert tests <= 2 * len(img.atoms)
+
+    # 300 row tails on row 0 (one step, distinct residues: none absorbs
+    # another), 300 points between them, and one row tail on each of 300
+    # other rows and one column tail on each of 300 columns; scanning every
+    # tail for every atom would make 1,080,000 tests
+    crowded = (
+        [RowTail(0, base, 1009) for base in range(300)]
+        + [Single(E(0, value)) for value in range(300, 600)]
+        + [RowTail(row, 0, 1) for row in range(1, 301)]
+        + [ColTail(col, 1, 1) for col in range(1000, 1300)]
+    )
+    random.Random(5).shuffle(crowded)
+    lookups = tests = 0
+    canon = canonicalize(SymSet(tuple(crowded)))
+    assert set(canon.atoms) == set(crowded)
+    assert len(crowded) <= lookups <= 2 * len(crowded)
+    assert tests == line_tests(crowded) == 300 * 300 + 300 * 300 + 300 + 300
+
+
+# --- final-orientation builders against the transpose references ------------------------
+
+
+def _ref_right_image_atom(atom, s):
+    """x * s = inv(inv(s) * inv(x)): transpose the atom, take the left image
+    by inv(s), transpose every output atom."""
+    return [_transpose_atom(z) for z in _left_image_atom(invert(s), _transpose_atom(atom))]
+
+
+def _ref_col_col(x, y):
+    """x * y = inv(inv(y) * inv(x)) for two column tails, transposing every output atom."""
+    return [_transpose_atom(z) for z in _product_row_row(_transpose_atom(y), _transpose_atom(x))]
+
+
+def _image_case(rng):
+    """An atom and an element s, with the kind of case the image falls in.
+
+    A row tail's right image splits off the members below s.k as points:
+    none, one or about 200 of them.  A column tail's is one tail, and s.k
+    falls below, at or above its column.
+    """
+    kind = rng.choice(["single", "row", "col"])
+    base, step = rng.randint(0, 30), rng.randint(1, 9)
+    line, l = rng.randint(0, 40), rng.randint(0, 40)
+    if kind == "single":
+        return Single(E(line, rng.randint(0, 40))), E(rng.randint(0, 40), l), kind
+    if kind == "row":
+        split = rng.choice([0, 1, rng.randint(190, 210)])
+        if split:
+            k = base + step * (split - 1) + rng.randint(1, step)
+        else:
+            k = rng.randint(0, base - 1) if base else 0
+        # the members below s.k, plus one more point when s.k is a member
+        split = len(range(base, k, step)) + (k >= base and (k - base) % step == 0)
+        return RowTail(line, base, step), E(k, l), ("row", min(split, 190))
+    col = rng.randint(1, 40)
+    k = rng.choice([rng.randint(0, col - 1), col, rng.randint(col + 1, 60)])
+    return ColTail(col, base, step), E(k, l), ("col", (k > col) - (k < col))
+
+
+def test_final_orientation_builders_match_transpose_references(monkeypatch):
+    rng = random.Random(20261020)
+    seen = {}
+
+    def canonical(atom_list, case):
+        # the all-pairs reference is quadratic: it checks every small result
+        # and one large result in ten
+        if len(atom_list) <= 50 or case % 10 == 0:
+            return _ref_canonicalize(SymSet(tuple(atom_list)))
+        return canonicalize(SymSet(tuple(atom_list)))
+
+    def raw(call):
+        """The atoms a call hands to canonicalize, in the order it builds them."""
+        with monkeypatch.context() as m:
+            m.setattr(symset_module, "canonicalize", lambda s: s)
+            return call().atoms
+
+    for case in range(450):
+        # the first atom's s is applied to every atom of the set
+        cases = [_image_case(rng) for _ in range(rng.randint(1, 3))]
+        s = cases[0][1]
+        atoms = tuple(atom for atom, _, _ in cases)
+        expected = [z for atom in atoms for z in _ref_right_image_atom(atom, s)]
+        assert raw(lambda: right_image(SymSet(atoms), s)) == tuple(expected)
+        assert right_image(SymSet(atoms), s) == canonical(expected, case)
+        kind = cases[0][2]
+        seen[kind] = seen.get(kind, 0) + 1
+
+    for case in range(200):
+        d1, d2 = rng.randint(1, 30), rng.randint(1, 30)
+        x = ColTail(rng.randint(0, 20), rng.randint(0, 30), d1)
+        y = ColTail(rng.randint(0, 20), rng.randint(0, 30), d2)
+        expected = _ref_col_col(x, y)
+        assert raw(lambda: product(SymSet((x,)), SymSet((y,)))) == tuple(expected)
+        assert product(symset(x), symset(y)) == canonical(expected, case)
+        kind = ("col x col", "coprime" if math.gcd(d1, d2) == 1 else "shared factor")
+        seen[kind] = seen.get(kind, 0) + 1
+
+    # singles, splits of 0, 1 and 190 or more points, s.k below, at and
+    # above a column, and both kinds of step pair were each drawn often
+    kinds = ["single", ("row", 0), ("row", 1), ("row", 190), ("col", -1), ("col", 0), ("col", 1)]
+    kinds += [("col x col", "coprime"), ("col x col", "shared factor")]
+    assert min(seen.get(kind, 0) for kind in kinds) > 20, seen
 
 
 # --- images -----------------------------------------------------------------------------
