@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from math import log10
 
 from .element import (
     IDENTITY,
@@ -47,6 +48,9 @@ from .symset import (
 )
 
 DEFAULT_MAX_EXPONENT = 10**6
+# a neighborhood's step p^t may have at most this many decimal digits, the
+# most that Python converts to text by default
+MAX_STEP_DIGITS = 4300
 
 
 # --- input helpers -----------------------------------------------------------
@@ -73,6 +77,28 @@ def _symset_arg(text: str, cap: int):
         if max(values) > cap:
             raise ValueError(f"set {text!r} exceeds --max-exponent {cap}")
     return s
+
+
+def _largest_index(p: int) -> int:
+    """The largest t with p^t below 10^MAX_STEP_DIGITS; no power above that is formed."""
+    limit = 10**MAX_STEP_DIGITS
+    t = int(MAX_STEP_DIGITS / log10(p))  # off by at most one, settled exactly below
+    while p ** (t + 1) < limit:
+        t += 1
+    while t and p**t >= limit:
+        t -= 1
+    return t
+
+
+def _index_arg(top, value, name: str):
+    """Reject an index whose neighborhood step p^value would pass MAX_STEP_DIGITS digits."""
+    p = getattr(top, "p", None)  # a discrete topology has no step
+    if p is not None and value is not None and value > _largest_index(p):
+        raise ValueError(
+            f"{name} {value} is too large for p = {p}: the step p^{value} would have "
+            f"more than {MAX_STEP_DIGITS} decimal digits"
+        )
+    return value
 
 
 def _side_arg(text: str):
@@ -270,9 +296,9 @@ def _cmd_thm1_nbhd(args):
 def _cmd_nbhd(args):
     from .topology import basic_nbhd, parse_topology
 
-    top = parse_topology(args.topology)
+    top = parse_topology(args.topology, cap=args.max_exponent)
     x = _element_arg(args.element, args.max_exponent)
-    s = basic_nbhd(top, x, args.index)
+    s = basic_nbhd(top, x, _index_arg(top, args.index, "index"))
     return {"set": symset_to_records(s), "text": format_symset(s)}, format_symset(s), 0
 
 
@@ -310,10 +336,11 @@ def _cmd_check_shift(args):
     from .continuity import check_shift_at
     from .topology import parse_topology
 
-    top = parse_topology(args.topology)
+    top = parse_topology(args.topology, cap=args.max_exponent)
     s = _element_arg(args.shift, args.max_exponent)
     x = _element_arg(args.point, args.max_exponent)
-    v = check_shift_at(top, _side_arg(args.side), s, x, args.t, k_max=args.k_max)
+    t = _index_arg(top, args.t, "t")
+    v = check_shift_at(top, _side_arg(args.side), s, x, t, k_max=args.k_max)
     return {"verdict": _verdict_dict(v)}, _verdict_text(v), 0
 
 
@@ -321,10 +348,10 @@ def _cmd_check_joint(args):
     from .continuity import _joint_with_equality
     from .topology import parse_topology
 
-    top = parse_topology(args.topology)
+    top = parse_topology(args.topology, cap=args.max_exponent)
     x = _element_arg(args.x, args.max_exponent)
     y = _element_arg(args.y, args.max_exponent)
-    v, equal = _joint_with_equality(top, x, y, args.t, args.k_max)
+    v, equal = _joint_with_equality(top, x, y, _index_arg(top, args.t, "t"), args.k_max)
     payload = {"verdict": _verdict_dict(v)}
     text = _verdict_text(v)
     if equal is not None:
@@ -337,8 +364,9 @@ def _cmd_find_discontinuity(args):
     from .continuity import find_discontinuity
     from .topology import parse_topology
 
-    top = parse_topology(args.topology)
-    w = find_discontinuity(top, _side_arg(args.side), args.bound, t_max=args.t_max, k_max=args.k_max)
+    top = parse_topology(args.topology, cap=args.max_exponent)
+    t_max = _index_arg(top, args.t_max, "--t-max")
+    w = find_discontinuity(top, _side_arg(args.side), args.bound, t_max=t_max, k_max=args.k_max)
     if w is None:
         return {"found": False, "witness": None}, "none", 0
     payload = {
@@ -367,6 +395,9 @@ def _cmd_verify(args):
     from .verify import SUITES
 
     if args.suite == "prop2":
+        for name in ("p", "m", "n"):
+            if getattr(args, name) > args.max_exponent:
+                raise ValueError(f"--{name} exceeds --max-exponent {args.max_exponent}")
         checks = SUITES["prop2"](args.bound, p=args.p, m=args.m, n=args.n)
     else:
         checks = SUITES[args.suite](args.bound)

@@ -17,8 +17,12 @@ neighborhood is a point the candidate is k0 = 1.  When a source
 neighborhood is a tail of step p^k, its image contains an infinite
 slope-one tail of step p^k, which fits inside a target of step p^t only
 when p^t divides p^k; so the candidate is k0 = t.  A cell is therefore
-decided by one image and one exact subset test at k0, and when that test
-holds, k0 is the minimal modulus.
+decided at k0, and when the image there fits, k0 is the minimal modulus.
+The target is a basic neighborhood, a single atom, so the image fits
+exactly when each atom that the image builders emit at k0 does: a point
+that the target has as a member, or a tail on the target's line that the
+target's progression holds.  No canonical form and no general subset test
+is needed for that.
 
 Failure is certified structurally, not by giving up: the image of a
 progression tail contains a far tail, the image of its high end and the
@@ -41,7 +45,9 @@ from .families import contains, enumerate_members
 from .symset import (
     Single,
     SymSet,
+    _atoms_within,
     _left_image_atom,
+    _product_atoms,
     _right_image_atom,
     _tail_line,
     left_image,
@@ -181,18 +187,22 @@ def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(target, t, k0, images, factors, k_max, witness_bound):
-    """One subset test at the least candidate index k0, then the certificate.
+def _decide(target, t, k0, atoms, images, factors, k_max, witness_bound):
+    """Test the image's atoms at the least candidate index k0, then the certificate.
 
-    Returns the verdict and, for a continuous cell, the image that fits the
-    target.  When the test fails, the far tails of the product that
-    `factors` = (x, ax, y, ay) names are built and the structural reason
-    decides the cell; only a cell without one searches on from k0 + 1.
-    When k0 > k_max the test is skipped, so the bound keeps its meaning.
+    `atoms()` lists the atoms that the image builders emit at k0, and each
+    is tested against the target's only atom (`_atoms_within`), which
+    decides exactly whether the image fits.  Returns the verdict and, for a
+    continuous cell, the atoms of the image that fits the target.  When the
+    image does not fit, the far tails of the product that `factors` =
+    (x, ax, y, ay) names are built and the structural reason decides the
+    cell, its witnesses read off `images(k)` by exact subset tests; only a
+    cell without a reason searches on from k0 + 1.  When k0 > k_max the
+    test is skipped, so the bound keeps its meaning.
     """
     if k0 <= k_max:
-        image = images(k0)
-        if subset(image, target).holds:
+        image = atoms()
+        if _atoms_within(image, target.atoms[0]):
             return ContinuousAt(((t, k0),)), image
     reason = _structural_reason(_far_tails(*factors), target)
     if reason is not None:
@@ -200,7 +210,7 @@ def _decide(target, t, k0, images, factors, k_max, witness_bound):
     for k in range(k0 + 1, k_max + 1):
         image = images(k)
         if subset(image, target).holds:
-            return ContinuousAt(((t, k),)), image
+            return ContinuousAt(((t, k),)), image.atoms
     return RefutedUpToBound(k_max), None
 
 
@@ -220,8 +230,9 @@ def check_shift_at(
 
     The source neighborhood is built once, at index t: a point's
     neighborhood is the same at every index, so k0 = 1 there, and a tail
-    needs k0 = t (see the module docstring).  One subset test at k0
-    decides every continuous cell with its minimal modulus.
+    needs k0 = t (see the module docstring).  The atoms of its image at k0,
+    each tested against the target's one atom, decide every continuous
+    cell with its minimal modulus.
     """
     if not contains(carrier(top), s):
         raise ValueError(f"shift element {s} is outside the carrier")
@@ -235,8 +246,13 @@ def check_shift_at(
         return shift_image(side, s, source if k == k0 else basic_nbhd(top, x, k))
 
     # a shift is the product with the point {s}
-    factors = (s, Single(s), x, atom) if side is ShiftSide.LEFT else (x, atom, s, Single(s))
-    return _decide(target, t, k0, images, factors, k_max, witness_bound)[0]
+    if side is ShiftSide.LEFT:
+        atoms = lambda: _left_image_atom(s, atom)
+        factors = (s, Single(s), x, atom)
+    else:
+        atoms = lambda: _right_image_atom(atom, s)
+        factors = (x, atom, s, Single(s))
+    return _decide(target, t, k0, atoms, images, factors, k_max, witness_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -304,15 +320,15 @@ def check_joint_at(
     """Decide joint continuity of multiplication at the pair (x, y).
 
     Both source neighborhoods are built once, at index t.  k0 = 1 when
-    both are points and k0 = t when either is a tail, as for shifts; one
-    product and one subset test at k0 decide every continuous cell with
-    its minimal modulus.
+    both are points and k0 = t when either is a tail, as for shifts; the
+    atoms of their product at k0, each tested against the target's one
+    atom, decide every continuous cell with its minimal modulus.
     """
     return _joint_decision(top, x, y, t, k_max, witness_bound)[0]
 
 
 def _joint_decision(top, x, y, t, k_max, witness_bound):
-    """check_joint_at's verdict, its target and the image at the modulus (None unless continuous)."""
+    """check_joint_at's verdict, its target and the image's atoms at the modulus (None unless continuous)."""
     target = basic_nbhd(top, multiply(x, y), t)
     nx = basic_nbhd(top, x, t)
     ny = basic_nbhd(top, y, t)
@@ -322,14 +338,19 @@ def _joint_decision(top, x, y, t, k_max, witness_bound):
     def images(k):  # the sources built at t are also the neighborhoods at k0
         return product(nx, ny) if k == k0 else product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
 
-    verdict, image = _decide(target, t, k0, images, (x, ax, y, ay), k_max, witness_bound)
+    atoms = lambda: _product_atoms(nx, ny)
+    verdict, image = _decide(target, t, k0, atoms, images, (x, ax, y, ay), k_max, witness_bound)
     return verdict, target, image
 
 
 def _joint_with_equality(top, x, y, t, k_max):
-    """check_joint_at's verdict and, when continuous, whether the image at the modulus equals the target."""
+    """check_joint_at's verdict and, when continuous, whether the image at the modulus equals the target.
+
+    The image is inside the target, so it equals the target when the target
+    is inside the union of its atoms, in whatever order they come.
+    """
     verdict, target, image = _joint_decision(top, x, y, t, k_max, DEFAULT_WITNESS_BOUND)
-    return verdict, None if image is None else subset(target, image).holds
+    return verdict, None if image is None else subset(target, SymSet(tuple(image))).holds
 
 
 def _isolation_case(top, x, y) -> str:

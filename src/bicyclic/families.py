@@ -262,33 +262,40 @@ def closure(gens, bound: int) -> ClosureResult:
 def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> BoundedMembership:
     """Membership with an explicit definiteness flag.
 
-    Closed-form families are always definite.  For FinitelyGenerated the
-    answer is read from the family's bounded closure: a positive answer is
-    definite, a negative one is definite only if the closure saturated.
+    Closed-form families are always definite, with the answer of
+    `contains`.  For FinitelyGenerated the answer is read from the family's
+    bounded closure: a positive answer is definite, a negative one is
+    definite only if the closure saturated.
     """
-    if isinstance(desc, Full):
-        return BoundedMembership(True, True, 0)
-    if isinstance(desc, CPlus):
-        return BoundedMembership(x.k <= x.l, True, 0)
-    if isinstance(desc, CMinus):
-        return BoundedMembership(x.k >= x.l, True, 0)
-    if isinstance(desc, CPlusRow):
-        return BoundedMembership(x.k == desc.n and x.l >= desc.n, True, 0)
-    if isinstance(desc, CPlusWindow):
-        return BoundedMembership(desc.m <= x.k <= desc.n and x.l >= x.k, True, 0)
-    if isinstance(desc, IdempotentChain):
-        return BoundedMembership(x.k == x.l, True, 0)
     if isinstance(desc, FinitelyGenerated):
         gen_max = max(max(g.k, g.l) for g in desc.gens)
         used = max(bound if bound is not None else DEFAULT_CLOSURE_BOUND, gen_max, x.k, x.l)
         result = desc.closure_at(used)
         found = x in result.members
         return BoundedMembership(found, found or result.saturated, used)
-    raise TypeError(f"unknown descriptor {desc!r}")
+    return BoundedMembership(contains(desc, x), True, 0)
 
 
 def contains(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> bool:
-    return membership(desc, x, bound).member
+    """Whether x is a member; a closed-form family answers by its defining inequalities.
+
+    FinitelyGenerated answers through `membership`, from its bounded closure.
+    """
+    if isinstance(desc, Full):
+        return True
+    if isinstance(desc, CPlus):
+        return x.k <= x.l
+    if isinstance(desc, CMinus):
+        return x.k >= x.l
+    if isinstance(desc, CPlusRow):
+        return x.k == desc.n and x.l >= desc.n
+    if isinstance(desc, CPlusWindow):
+        return desc.m <= x.k <= desc.n and x.l >= x.k
+    if isinstance(desc, IdempotentChain):
+        return x.k == x.l
+    if isinstance(desc, FinitelyGenerated):
+        return membership(desc, x, bound).member
+    raise TypeError(f"unknown descriptor {desc!r}")
 
 
 def enumerate_members(desc: SetDescriptor, bound: int) -> list:

@@ -187,7 +187,7 @@ class _LineIndex:
     a row to its RowTails and tails[1] a column to its ColTails, and
     line_points[0] (line_points[1]) maps a row (column) to the free exponents
     l (k) of the points on it.  Points stay out of `tails`, so the tails of a
-    line are all that absorption and membership ever scan.
+    line are all that membership ever scans.
     """
 
     __slots__ = ("points", "tails", "line_points")
@@ -235,22 +235,47 @@ def _any_on_progression(tails, value: int) -> bool:
     return False
 
 
-def _any_holds_tail(tails, tail) -> bool:
-    """Whether another of `tails`, all on the tail's line, contains the whole tail.
+def _tail_holds(outer, tail) -> bool:
+    """Whether `outer`, a tail on the tail's own line, contains the whole tail.
 
-    It does when the tail's base is on its progression and the tail's step
-    is a multiple of its step.
+    It does exactly when the tail's base is on outer's progression and the
+    tail's step is a multiple of outer's step.
     """
-    base, step = tail.base, tail.step
+    return (
+        tail.step % outer.step == 0
+        and tail.base >= outer.base
+        and (tail.base - outer.base) % outer.step == 0
+    )
+
+
+def _any_holds_tail(tails, tail) -> bool:
+    """Whether another of `tails`, all on the tail's line, contains the whole tail."""
     for other in tails:
-        if (
-            other is not tail
-            and step % other.step == 0
-            and base >= other.base
-            and (base - other.base) % other.step == 0
-        ):
+        if other is not tail and _tail_holds(other, tail):
             return True
     return False
+
+
+def _atoms_within(atoms, outer) -> bool:
+    """Whether every one of `atoms` lies inside the single atom `outer`.
+
+    A union lies inside one atom exactly when each of its atoms does.  A
+    point does when outer has it as a member.  A tail is infinite, so it
+    never fits in a point, and it meets a tail on another line in at most
+    one element; so it fits only in a tail on its own line, which must hold
+    it by `_tail_holds`.
+    """
+    for atom in atoms:
+        if isinstance(atom, Single):
+            if not atom_member(outer, atom.element):
+                return False
+        elif (
+            isinstance(outer, Single)
+            or _tail_line(atom) != _tail_line(outer)
+            or not _tail_holds(outer, atom)
+        ):
+            return False
+    return True
 
 
 def canonicalize(s: SymSet) -> SymSet:
@@ -264,17 +289,20 @@ def canonicalize(s: SymSet) -> SymSet:
     when they are equal.
 
     Only a tail can absorb an atom, and only a tail on one of the atom's own
-    lines, so one line index of the distinct atoms answers every test: a
-    point b^k a^l is dropped when a tail on row k takes l or a tail on
-    column l takes k, and a tail when another tail on its line holds its
-    base and has a step dividing its own.  The whole pass costs O(atoms +
-    the tails on each atom's lines), however many points share a line.
-    The kept keys are sorted, which orders the atoms as sorting them by key
-    would, without computing any key again.
+    lines, so the distinct tails looked up by their line answer every test:
+    a point b^k a^l is dropped when a tail on row k takes l or a tail on
+    column l takes k, and a tail when another tail on its line holds it
+    (`_tail_holds`).  The whole pass costs O(atoms + the tails on each
+    atom's lines), however many points share a line.  The kept keys are
+    sorted, which orders the atoms as sorting them by key would, without
+    computing any key again.
     """
     by_key = {_atom_key(a): a for a in s.atoms}
-    index = _LineIndex(by_key.values())
-    rows, cols = index.tails
+    tails = ({}, {})  # row -> its RowTails, column -> its ColTails
+    for (kind, line, _, _), atom in by_key.items():
+        if kind:
+            tails[kind - 1].setdefault(line, []).append(atom)
+    rows, cols = tails
     kept = []
     # distinct atoms never contain each other mutually, so dropping every
     # absorbed atom cannot empty an equivalence class
@@ -285,7 +313,7 @@ def canonicalize(s: SymSet) -> SymSet:
                 cols.get(value, ()), line
             ):
                 continue
-        elif _any_holds_tail(index.tails[kind - 1][line], atom):
+        elif _any_holds_tail(tails[kind - 1][line], atom):
             continue
         kept.append(key)
     kept.sort()
@@ -623,6 +651,11 @@ def product(a: SymSet, b: SymSet) -> SymSet:
     Raises UnrepresentableProductError when a ColTail meets a RowTail in
     that order; see the module docstring.
     """
+    return canonicalize(SymSet(tuple(_product_atoms(a, b))))
+
+
+def _product_atoms(a: SymSet, b: SymSet) -> list:
+    """The atoms of the product of a and b, before the canonical form."""
     atoms = []
     for x in a.atoms:
         for y in b.atoms:
@@ -642,7 +675,7 @@ def product(a: SymSet, b: SymSet) -> SymSet:
                     "ColTail * RowTail is a two-dimensional set and has no "
                     "finite representation in this atom vocabulary"
                 )
-    return canonicalize(SymSet(tuple(atoms)))
+    return atoms
 
 
 # --- text and record forms --------------------------------------------------------

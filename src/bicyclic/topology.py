@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 from .element import BicyclicElement
@@ -57,7 +58,7 @@ class CarrierError(ValueError):
 
 
 def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"step parameter must be prime, got {p}")
 
 
@@ -164,16 +165,29 @@ _WINDOW_RE = re.compile(r"^window:(\d+):(\d+):(\d+)$")
 _DISCRETE_RE = re.compile(r"^discrete:(.+)$")
 
 
-def parse_topology(text: str) -> TopologyDescriptor:
-    """Parse discrete:<carrier> | padic+:<p> | padic-:<p> | window:<p>:<m>:<n>."""
+def _parameters(cap: Optional[int], *groups) -> list:
+    """The integer parameters of a topology, each checked against the cap."""
+    values = [int(g) for g in groups]
+    for value in values:
+        if cap is not None and value > cap:
+            raise ValueError(f"topology parameter {value} exceeds the cap {cap}")
+    return values
+
+
+def parse_topology(text: str, cap: Optional[int] = None) -> TopologyDescriptor:
+    """Parse discrete:<carrier> | padic+:<p> | padic-:<p> | window:<p>:<m>:<n>.
+
+    With a cap, a p, m or n above it raises ValueError before any
+    descriptor is built, so a huge p never reaches the prime test.
+    """
     body = text.strip()
     m = _PADIC_RE.match(body)
     if m:
         cls = PAdicPlus if m.group(1) == "+" else PAdicMinus
-        return cls(int(m.group(2)))
+        return cls(*_parameters(cap, m.group(2)))
     m = _WINDOW_RE.match(body)
     if m:
-        return WindowPAdic(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return WindowPAdic(*_parameters(cap, *m.groups()))
     m = _DISCRETE_RE.match(body)
     if m:
         return Discrete(parse_descriptor(m.group(1)))

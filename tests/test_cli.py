@@ -218,6 +218,77 @@ def test_max_exponent_cap(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["nbhd", "padic+:1000000000000000003", "b^0a^0", "1"], "1000000000000000003"),
+        (["nbhd", "padic-:" + str(10**401 + 1), "b^0a^0", "1"], str(10**401 + 1)),
+        (["check-shift", "window:1000003:0:2", "--side", "left", "b^0a^0", "b^0a^0", "1"], "1000003"),
+        (["check-joint", "window:2:0:1000001", "b^0a^0", "b^0a^0", "1"], "1000001"),
+        (["find-discontinuity", "window:2:1000001:1000002", "--side", "left", "--bound", "2"], "1000001"),
+    ],
+)
+def test_topology_parameters_obey_the_cap(capsys, monkeypatch, argv, value):
+    # the cap is checked before any descriptor is built, so the prime test never runs
+    def never(p):
+        raise AssertionError(f"prime test reached with p = {p}")
+
+    monkeypatch.setattr("bicyclic.topology._require_prime", never)
+    assert run(capsys, *argv) == (2, "", f"error: topology parameter {value} exceeds the cap 1000000\n")
+
+
+def test_raised_cap_admits_topology_parameters(capsys):
+    argv = ["nbhd", "--max-exponent", "2000000", "window:2:0:2000000", "b^0a^1999999", "1"]
+    assert run(capsys, *argv) == (0, "{b^0 a^1999999}\n", "")
+    code, _, err = run(capsys, "verify", "prop2", "--p", "1000003")
+    assert code == 2 and err == "error: --p exceeds --max-exponent 1000000\n"
+
+
+def _step_error(name, value, p):
+    return (
+        f"error: {name} {value} is too large for p = {p}: the step p^{value} would have "
+        "more than 4300 decimal digits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["check-shift", "padic+:2", "--side", "left", "b^0a^0", "b^0a^1", "1000000000"],
+            _step_error("t", 1000000000, 2),
+        ),
+        (["check-joint", "padic-:3", "b^1a^0", "b^2a^1", "100000000"], _step_error("t", 100000000, 3)),
+        (["nbhd", "padic+:2", "b^1a^3", "100000"], _step_error("index", 100000, 2)),
+        (["nbhd", "padic+:2", "b^1a^3", "14285"], _step_error("index", 14285, 2)),
+        (["nbhd", "window:3:0:2", "b^1a^3", "9013"], _step_error("index", 9013, 3)),
+        (
+            ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--t-max", "14285"],
+            _step_error("--t-max", 14285, 2),
+        ),
+    ],
+)
+def test_neighborhood_index_is_capped(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_index_cap_is_exact():
+    from bicyclic.cli import MAX_STEP_DIGITS, _largest_index
+
+    for p in (2, 3, 5, 7, 10007, 999983):
+        t = _largest_index(p)
+        assert p**t < 10**MAX_STEP_DIGITS <= p ** (t + 1), p
+    assert _largest_index(2) == 14284
+
+
+def test_steps_within_the_cap_are_answered(capsys):
+    code, out, _ = run(capsys, "nbhd", "padic+:2", "b^1a^3", "14284")
+    assert code == 0 and len(out.split("+")[1].split("t")[0]) == 4300
+    # a discrete topology has no step, so any index stands
+    argv = ["check-shift", "discrete:full", "--side", "left", "b^0a^0", "b^0a^1", "1000000000"]
+    assert run(capsys, *argv) == (0, "continuous t=1000000000 k=1\n", "")
+
+
+@pytest.mark.parametrize(
     "argv, err",
     [
         (

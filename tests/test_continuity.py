@@ -1,5 +1,7 @@
 """Continuity decision procedure: verdicts, certificates, known sweep results."""
 
+import hashlib
+
 import pytest
 
 from bicyclic import (
@@ -38,7 +40,8 @@ from bicyclic import (
     subset,
     window_joint_report,
 )
-from bicyclic.symset import _left_image_atom, _right_image_atom
+from bicyclic.continuity import _joint_with_equality
+from bicyclic.symset import _atoms_within, _left_image_atom, _product_atoms, _right_image_atom
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -230,8 +233,9 @@ def test_no_refutations_in_scope():
         assert not any(isinstance(c.verdict, RefutedUpToBound) for c in rep.cells)
 
 
-def test_joint_sweep_builds_one_product_per_continuous_cell(monkeypatch):
-    # the equality flag reads the product the decision built at the modulus
+def test_joint_sweep_builds_products_only_for_witnesses(monkeypatch):
+    # a continuous cell and its equality flag read the raw product atoms at the
+    # modulus; only the witnesses of a discontinuous cell build whole products
     calls = []
 
     def counting(*args):
@@ -244,7 +248,7 @@ def test_joint_sweep_builds_one_product_per_continuous_cell(monkeypatch):
         rep = check_joint(top, bound=3, t_max=2)
         continuous = sum(isinstance(c.verdict, ContinuousAt) for c in rep.cells)
         discontinuous = len(rep.cells) - continuous
-        assert len(calls) == continuous + discontinuous * (1 + continuity.DEFAULT_WITNESS_BOUND)
+        assert len(calls) == discontinuous * continuity.DEFAULT_WITNESS_BOUND
         assert all(c.equality is not None for c in rep.cells if isinstance(c.verdict, ContinuousAt))
     assert discontinuous > 0  # the padic+ sweep has both kinds of cell
 
@@ -422,6 +426,31 @@ def test_derived_modulus_matches_the_k_search(text):
         assert new == ref, (text, side, a, b, k_max)
 
 
+@pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
+def test_atomwise_decision_matches_the_subset_test(text):
+    # a cell's image at k0 fits the target exactly when each raw atom that the
+    # image builders emit fits the target's one atom
+    top = parse_topology(text)
+    outcomes = set()
+    for side, a, b, t in _cells(top, 4, 4):
+        # the source neighborhoods at t are those at k0: a point's never changes
+        if side is None:
+            nx, ny = basic_nbhd(top, a, t), basic_nbhd(top, b, t)
+            target = basic_nbhd(top, multiply(a, b), t)
+            atoms, image = _product_atoms(nx, ny), product(nx, ny)
+        else:
+            source = basic_nbhd(top, b, t)
+            target = basic_nbhd(top, apply_shift(side, a, b), t)
+            atom = source.atoms[0]
+            atoms = _left_image_atom(a, atom) if side is LEFT else _right_image_atom(atom, a)
+            image = shift_image(side, a, source)
+        fits = _atoms_within(atoms, target.atoms[0])
+        assert fits == subset(image, target).holds, (text, side, a, b, t)
+        outcomes.add(fits)
+    # the window and discrete topologies are continuous everywhere
+    assert outcomes == ({True, False} if text.startswith("padic") else {True})
+
+
 _INVARIANT_TOPOLOGIES = ("padic+:2", "padic-:2", "padic+:3", "padic-:3", "window:2:0:2", "window:3:1:3")
 
 
@@ -492,10 +521,11 @@ def test_subset_calls_per_cell(monkeypatch):
         else:
             verdict = check_shift_at(top, side, a, b, t)
         if isinstance(verdict, ContinuousAt):
-            assert len(calls) == 1, (side, a, b, t)
+            assert len(calls) == 0, (side, a, b, t)
         else:
+            # one exact subset test per witness
             assert isinstance(verdict, DiscontinuousAt), (side, a, b, t)
-            assert len(calls) == 1 + continuity.DEFAULT_WITNESS_BOUND, (side, a, b, t)
+            assert len(calls) == continuity.DEFAULT_WITNESS_BOUND, (side, a, b, t)
         modulus = verdict.modulus_for(t) if isinstance(verdict, ContinuousAt) else None
         seen.add((type(verdict).__name__, modulus))
     # the sweep exercises point cells (k0 = 1), tail cells (k0 = t) and certificates
@@ -552,3 +582,25 @@ def test_equation_replay_validation():
         equation_replay(0, 9, 4, 2)  # i0 > j0
     with pytest.raises(ValueError):
         equation_replay(-1, 5, 0, 0)
+
+
+# --- a verdict golden ---------------------------------------------------------------------
+
+# sha256 of the verdict reprs of both shifts and of the joint verdict with its
+# equality flag, concatenated over every carrier pair at bound 5 and t <= 3
+# (30,861 cells)
+_VERDICT_DIGEST = "57fb7c9f28bd873478d81bb3c99d09e8c4d64f84f9a441ca11932b32b76e1fc4"
+
+
+def test_verdict_golden():
+    digest = hashlib.sha256()
+    for text in _DIFF_TOPOLOGIES:
+        top = parse_topology(text)
+        pts = _pts(top, 5)
+        for s in pts:
+            for x in pts:
+                for t in range(1, 4):
+                    digest.update(repr(check_shift_at(top, LEFT, s, x, t)).encode())
+                    digest.update(repr(check_shift_at(top, RIGHT, s, x, t)).encode())
+                    digest.update(repr(_joint_with_equality(top, s, x, t, 12)).encode())
+    assert digest.hexdigest() == _VERDICT_DIGEST

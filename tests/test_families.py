@@ -51,6 +51,27 @@ def test_membership_basic_families():
     assert contains(IdempotentChain(), E(4, 4)) and not contains(IdempotentChain(), E(4, 5))
 
 
+@pytest.mark.parametrize(
+    "desc, rule",
+    [
+        (Full(), lambda k, l: True),
+        (CPlus(), lambda k, l: k <= l),
+        (CMinus(), lambda k, l: k >= l),
+        (CPlusRow(0), lambda k, l: k == 0),
+        (CPlusRow(5), lambda k, l: k == 5 and l >= 5),
+        (CPlusWindow(0, 0), lambda k, l: k == 0),
+        (CPlusWindow(2, 7), lambda k, l: 2 <= k <= 7 and k <= l),
+        (IdempotentChain(), lambda k, l: k == l),
+    ],
+)
+def test_contains_and_membership_agree_on_closed_forms(desc, rule):
+    for k in range(12):
+        for l in range(12):
+            x = E(k, l)
+            assert contains(desc, x) == rule(k, l), (desc, x)
+            assert membership(desc, x) == families.BoundedMembership(contains(desc, x), True, 0)
+
+
 def test_enumerate_members_sorted_and_complete():
     got = enumerate_members(CPlus(), 2)
     assert got == sorted(got)

@@ -60,6 +60,17 @@ def test_prime_validation():
         WindowPAdic(6, 0, 2)
     with pytest.raises(ValueError):
         WindowPAdic(2, 3, 1)
+    # a 402-digit p has the factor 11; the prime test takes its root exactly
+    with pytest.raises(ValueError, match="must be prime"):
+        PAdicPlus(10**401 + 1)
+    assert PAdicMinus(1000003).p == 1000003
+
+
+def test_parse_topology_cap():
+    assert parse_topology("window:3:1:3", cap=3) == WindowPAdic(3, 1, 3)
+    for text in ("padic+:5", "padic-:5", "window:5:0:2", "window:2:5:6", "window:2:0:5"):
+        with pytest.raises(ValueError, match="topology parameter 5 exceeds the cap 4"):
+            parse_topology(text, cap=4)
 
 
 def test_carriers():
