@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import log10
 
@@ -56,7 +57,14 @@ MAX_STEP_DIGITS = 4300
 # --- input helpers -----------------------------------------------------------
 
 
+def _check_digits(text: str, cap: int, what: str) -> None:
+    """Reject a number in the text with more digits than the cap, before int() reads it."""
+    if any(len(run.lstrip("0")) > len(str(cap)) for run in re.findall(r"\d+", text)):
+        raise ValueError(f"{what} {text!r} exceeds --max-exponent {cap}")
+
+
 def _element_arg(text: str, cap: int) -> BicyclicElement:
+    _check_digits(text, cap, "element")
     try:
         e = parse_element(text)
     except ValueError:
@@ -67,6 +75,7 @@ def _element_arg(text: str, cap: int) -> BicyclicElement:
 
 
 def _symset_arg(text: str, cap: int):
+    _check_digits(text, cap, "set")
     s = parse_symset(text)
     for atom in s.atoms:
         values = (
@@ -115,34 +124,28 @@ def _edict(e: BicyclicElement) -> dict:
 
 
 def _verdict_dict(v) -> dict:
-    from .continuity import ContinuousAt, DiscontinuousAt, RefutedUpToBound
+    from .continuity import ContinuousAt
 
     if isinstance(v, ContinuousAt):
         return {"kind": "continuous", "modulus": [[t, k] for t, k in v.modulus]}
-    if isinstance(v, DiscontinuousAt):
-        return {
-            "kind": "discontinuous",
-            "target_index": v.target_index,
-            "structural_reason": v.structural_reason,
-            "counterexamples": [[k, _edict(e)] for k, e in v.counterexamples],
-        }
-    if isinstance(v, RefutedUpToBound):
-        return {"kind": "refuted-up-to-bound", "probe_bound": v.probe_bound}
-    raise TypeError(f"unknown verdict {v!r}")
+    return {
+        "kind": "discontinuous",
+        "target_index": v.target_index,
+        "structural_reason": v.structural_reason,
+        "counterexamples": [[k, _edict(e)] for k, e in v.counterexamples],
+    }
 
 
 def _verdict_text(v) -> str:
-    from .continuity import ContinuousAt, DiscontinuousAt
+    from .continuity import ContinuousAt
 
     if isinstance(v, ContinuousAt):
         pairs = " ".join(f"t={t} k={k}" for t, k in v.modulus)
         return f"continuous {pairs}"
-    if isinstance(v, DiscontinuousAt):
-        lines = [f"discontinuous t={v.target_index}", f"reason: {v.structural_reason}"]
-        for k, e in v.counterexamples:
-            lines.append(f"  k={k} escape={format_element(e)}")
-        return "\n".join(lines)
-    return f"refuted-up-to-bound k_max={v.probe_bound}"
+    lines = [f"discontinuous t={v.target_index}", f"reason: {v.structural_reason}"]
+    for k, e in v.counterexamples:
+        lines.append(f"  k={k} escape={format_element(e)}")
+    return "\n".join(lines)
 
 
 # --- plain commands ----------------------------------------------------------
@@ -340,7 +343,7 @@ def _cmd_check_shift(args):
     s = _element_arg(args.shift, args.max_exponent)
     x = _element_arg(args.point, args.max_exponent)
     t = _index_arg(top, args.t, "t")
-    v = check_shift_at(top, _side_arg(args.side), s, x, t, k_max=args.k_max)
+    v = check_shift_at(top, _side_arg(args.side), s, x, t)
     return {"verdict": _verdict_dict(v)}, _verdict_text(v), 0
 
 
@@ -351,7 +354,7 @@ def _cmd_check_joint(args):
     top = parse_topology(args.topology, cap=args.max_exponent)
     x = _element_arg(args.x, args.max_exponent)
     y = _element_arg(args.y, args.max_exponent)
-    v, equal = _joint_with_equality(top, x, y, _index_arg(top, args.t, "t"), args.k_max)
+    v, equal = _joint_with_equality(top, x, y, _index_arg(top, args.t, "t"))
     payload = {"verdict": _verdict_dict(v)}
     text = _verdict_text(v)
     if equal is not None:
@@ -366,7 +369,7 @@ def _cmd_find_discontinuity(args):
 
     top = parse_topology(args.topology, cap=args.max_exponent)
     t_max = _index_arg(top, args.t_max, "--t-max")
-    w = find_discontinuity(top, _side_arg(args.side), args.bound, t_max=t_max, k_max=args.k_max)
+    w = find_discontinuity(top, _side_arg(args.side), args.bound, t_max=t_max)
     if w is None:
         return {"found": False, "witness": None}, "none", 0
     payload = {
@@ -423,7 +426,6 @@ def _arg(*flags, **kwargs):
 
 
 _SIDE = _arg("--side", choices=("left", "right"), required=True)
-_K_MAX = _arg("--k-max", type=int, default=12)
 
 # name -> (help, handler, arguments), in the order the top-level help lists them
 _COMMANDS = {
@@ -486,12 +488,12 @@ _COMMANDS = {
     "check-shift": (
         "continuity of one shift at a point",
         _cmd_check_shift,
-        [_arg("topology"), _SIDE, _arg("shift"), _arg("point"), _arg("t", type=int), _K_MAX],
+        [_arg("topology"), _SIDE, _arg("shift"), _arg("point"), _arg("t", type=int)],
     ),
     "check-joint": (
         "joint continuity of multiplication at a pair",
         _cmd_check_joint,
-        [_arg("topology"), _arg("x"), _arg("y"), _arg("t", type=int), _K_MAX],
+        [_arg("topology"), _arg("x"), _arg("y"), _arg("t", type=int)],
     ),
     "find-discontinuity": (
         "first certified shift discontinuity",
@@ -501,7 +503,6 @@ _COMMANDS = {
             _SIDE,
             _arg("--bound", type=int, required=True),
             _arg("--t-max", type=int, default=None),
-            _K_MAX,
         ],
     ),
     "verify": (
@@ -549,11 +550,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _check_sweep_bounds(args):
-    """Reject a negative --k-max and a --t-max below 1; --k-max 0 skips the subset test."""
-    for name, low in (("k_max", 0), ("t_max", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+    """Reject a --t-max below 1."""
+    t_max = getattr(args, "t_max", None)
+    if t_max is not None and t_max < 1:
+        raise ValueError(f"--t-max must be at least 1, got {t_max}")
 
 
 def main(argv=None) -> int:

@@ -7,9 +7,11 @@ index t asks for a source index k with
     image of (basic neighborhood of x at k)  inside  basic nbhd of shift(x) at t
 
 and joint continuity at (x, y) asks the same for the elementwise product
-of two basic neighborhoods against a neighborhood of x*y.  Because basic
-neighborhoods only refine as the index grows (the base point never moves,
-only the progression step changes), each question is monotone in k.
+of two basic neighborhoods against a neighborhood of x*y.  A shift is the
+product with the point {s}, so one engine decides both kinds of cell.
+Because basic neighborhoods only refine as the index grows (the base point
+never moves, only the progression step changes), each question is
+monotone in k.
 
 The least k that can work is known before any test.  A point's
 neighborhoods do not depend on the index, so when every source
@@ -29,9 +31,9 @@ progression tail contains a far tail, the image of its high end and the
 last atom that _left_image_atom or _right_image_atom emits for it, whose
 line (the fixed exponent) does not depend on k.  If it runs along another
 line than the target, no k can ever work, and the verdict carries one
-concrete escaping element per small k.  Without such a certificate the
-search goes on past k0, and a search that merely fails is reported
-honestly as RefutedUpToBound.
+concrete escaping element per small k.  A far tail on the target's line
+always fits (see _structural_reason), so every cell at every index ends
+ContinuousAt or DiscontinuousAt; nothing is searched past k0.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "equation_replay",
 ]
 
-DEFAULT_K_MAX = 12
 DEFAULT_WITNESS_BOUND = 4
 
 
@@ -115,12 +116,12 @@ class DiscontinuousAt:
 
 @dataclass(frozen=True)
 class RefutedUpToBound:
-    """No modulus found up to the probe bound and no structural certificate."""
+    """No decider returns this; it stays exported for callers that still name the class."""
 
     probe_bound: int
 
 
-Verdict = object  # union of the three dataclasses above
+Verdict = object  # ContinuousAt or DiscontinuousAt
 
 
 def apply_shift(side: ShiftSide, s: BicyclicElement, x: BicyclicElement) -> BicyclicElement:
@@ -145,8 +146,9 @@ def _structural_reason(far_tails, target: SymSet) -> Optional[str]:
     step.  A tail source never maps to an isolated point, a window point of
     second exponent at most n: a product's second exponent is at least its
     right factor's, and at least its left factor's when the right factor
-    is a window point (first exponent at most n).  Any other case falls
-    through to the search.
+    is a window point (first exponent at most n).  So a cell whose image
+    escapes the target at k0 always has a reason, and _decide raises
+    RuntimeError if one does not.
     """
     watom = target.atoms[0]
     if isinstance(watom, Single):
@@ -187,31 +189,35 @@ def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(target, t, k0, atoms, images, factors, k_max, witness_bound):
-    """Test the image's atoms at the least candidate index k0, then the certificate.
+def _decide(top, target, t, x, nx, y, ny, witness_bound):
+    """Decide whether the product of nx (holding x) and ny (holding y) fits the target.
 
-    `atoms()` lists the atoms that the image builders emit at k0, and each
-    is tested against the target's only atom (`_atoms_within`), which
-    decides exactly whether the image fits.  Returns the verdict and, for a
-    continuous cell, the atoms of the image that fits the target.  When the
-    image does not fit, the far tails of the product that `factors` =
-    (x, ax, y, ay) names are built and the structural reason decides the
-    cell, its witnesses read off `images(k)` by exact subset tests; only a
-    cell without a reason searches on from k0 + 1.  When k0 > k_max the
-    test is skipped, so the bound keeps its meaning.
+    This is the engine of every cell.  nx and ny are the source factors
+    built at index t.  A point factor, the shifting element's {s} or an
+    isolated point's neighborhood, is the same at every index, so k0 = 1
+    when both factors are points and k0 = t otherwise (see the module
+    docstring).  The atoms that `_product_atoms` emits at k0, each tested
+    against the target's only atom (`_atoms_within`), decide exactly
+    whether the image fits.  Returns the verdict and, for a continuous
+    cell, those atoms.  Otherwise the structural reason certifies the
+    failure, with witnesses read off the products at k = 1..witness_bound
+    by exact subset tests.
     """
-    if k0 <= k_max:
-        image = atoms()
-        if _atoms_within(image, target.atoms[0]):
-            return ContinuousAt(((t, k0),)), image
-    reason = _structural_reason(_far_tails(*factors), target)
-    if reason is not None:
-        return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason), None
-    for k in range(k0 + 1, k_max + 1):
-        image = images(k)
-        if subset(image, target).holds:
-            return ContinuousAt(((t, k),)), image.atoms
-    return RefutedUpToBound(k_max), None
+    ax, ay = nx.atoms[0], ny.atoms[0]
+    image = _product_atoms(nx, ny)
+    if _atoms_within(image, target.atoms[0]):
+        k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
+        return ContinuousAt(((t, k0),)), image
+    reason = _structural_reason(_far_tails(x, ax, y, ay), target)
+    if reason is None:
+        # the _structural_reason docstring proves that this cannot happen
+        raise RuntimeError("the image escapes the target at k0 without a structural reason")
+
+    def at(z, nz, k):  # a point factor is its own neighborhood at every index
+        return nz if isinstance(nz.atoms[0], Single) else basic_nbhd(top, z, k)
+
+    images = lambda k: product(at(x, nx, k), at(y, ny, k))
+    return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason), None
 
 
 # --- shift continuity ----------------------------------------------------------
@@ -223,36 +229,21 @@ def check_shift_at(
     s: BicyclicElement,
     x: BicyclicElement,
     t: int,
-    k_max: int = DEFAULT_K_MAX,
     witness_bound: int = DEFAULT_WITNESS_BOUND,
 ):
     """Decide continuity of the shift by s at the point x for target index t.
 
-    The source neighborhood is built once, at index t: a point's
-    neighborhood is the same at every index, so k0 = 1 there, and a tail
-    needs k0 = t (see the module docstring).  The atoms of its image at k0,
-    each tested against the target's one atom, decide every continuous
-    cell with its minimal modulus.
+    A shift is the product with the point {s}: the engine gets {s} as the
+    fixed factor and the neighborhood of x, built at index t, as the other.
     """
     if not contains(carrier(top), s):
         raise ValueError(f"shift element {s} is outside the carrier")
-    y = apply_shift(side, s, x)
-    target = basic_nbhd(top, y, t)  # also validates y
+    target = basic_nbhd(top, apply_shift(side, s, x), t)  # also validates the image point
     source = basic_nbhd(top, x, t)  # also validates x
-    atom = source.atoms[0]
-    k0 = 1 if isinstance(atom, Single) else t
-
-    def images(k):  # the source built at t is also the neighborhood at k0
-        return shift_image(side, s, source if k == k0 else basic_nbhd(top, x, k))
-
-    # a shift is the product with the point {s}
+    point = SymSet((Single(s),))
     if side is ShiftSide.LEFT:
-        atoms = lambda: _left_image_atom(s, atom)
-        factors = (s, Single(s), x, atom)
-    else:
-        atoms = lambda: _right_image_atom(atom, s)
-        factors = (x, atom, s, Single(s))
-    return _decide(target, t, k0, atoms, images, factors, k_max, witness_bound)[0]
+        return _decide(top, target, t, s, point, x, source, witness_bound)[0]
+    return _decide(top, target, t, x, source, s, point, witness_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,6 @@ class ShiftReport:
     topology: TopologyDescriptor
     side: ShiftSide
     cells: tuple
-    k_max: int
 
     @property
     def failures(self) -> tuple:
@@ -279,31 +269,19 @@ class ShiftReport:
         return not self.failures
 
 
-def check_shift(
-    top: TopologyDescriptor,
-    side: ShiftSide,
-    bound: Optional[int] = None,
-    t_max: int = 3,
-    k_max: int = DEFAULT_K_MAX,
-    pairs: Optional[list] = None,
-) -> ShiftReport:
-    """Sweep shift continuity over (s, x) pairs and t <= t_max.
+def check_shift(top: TopologyDescriptor, side: ShiftSide, bound: int, t_max: int = 3) -> ShiftReport:
+    """Sweep shift continuity over all carrier pairs with exponents <= bound and t <= t_max.
 
-    Either give a bound, meaning all carrier pairs with exponents <= bound,
-    or an explicit list of (s, x) pairs.  Cells are pure and independent;
-    they are evaluated and reported in a fixed order so reports are
-    reproducible.
+    Cells are pure and independent; they are evaluated and reported in a
+    fixed order so reports are reproducible.
     """
-    if (bound is None) == (pairs is None):
-        raise ValueError("give exactly one of bound or pairs")
-    if pairs is None:
-        points = enumerate_members(carrier(top), bound)
-        pairs = [(s, x) for s in points for x in points]
+    points = enumerate_members(carrier(top), bound)
     cells = []
-    for s, x in pairs:
-        for t in range(1, t_max + 1):
-            cells.append(ShiftCell(s, x, t, check_shift_at(top, side, s, x, t, k_max)))
-    return ShiftReport(top, side, tuple(cells), k_max)
+    for s in points:
+        for x in points:
+            for t in range(1, t_max + 1):
+                cells.append(ShiftCell(s, x, t, check_shift_at(top, side, s, x, t)))
+    return ShiftReport(top, side, tuple(cells))
 
 
 # --- joint continuity ------------------------------------------------------------
@@ -314,42 +292,31 @@ def check_joint_at(
     x: BicyclicElement,
     y: BicyclicElement,
     t: int,
-    k_max: int = DEFAULT_K_MAX,
     witness_bound: int = DEFAULT_WITNESS_BOUND,
 ):
     """Decide joint continuity of multiplication at the pair (x, y).
 
-    Both source neighborhoods are built once, at index t.  k0 = 1 when
-    both are points and k0 = t when either is a tail, as for shifts; the
-    atoms of their product at k0, each tested against the target's one
-    atom, decide every continuous cell with its minimal modulus.
+    Both source neighborhoods are built once, at index t, and the engine
+    decides their product against the neighborhood of x*y.
     """
-    return _joint_decision(top, x, y, t, k_max, witness_bound)[0]
+    return _joint_decision(top, x, y, t, witness_bound)[0]
 
 
-def _joint_decision(top, x, y, t, k_max, witness_bound):
+def _joint_decision(top, x, y, t, witness_bound):
     """check_joint_at's verdict, its target and the image's atoms at the modulus (None unless continuous)."""
     target = basic_nbhd(top, multiply(x, y), t)
-    nx = basic_nbhd(top, x, t)
-    ny = basic_nbhd(top, y, t)
-    ax, ay = nx.atoms[0], ny.atoms[0]
-    k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
-
-    def images(k):  # the sources built at t are also the neighborhoods at k0
-        return product(nx, ny) if k == k0 else product(basic_nbhd(top, x, k), basic_nbhd(top, y, k))
-
-    atoms = lambda: _product_atoms(nx, ny)
-    verdict, image = _decide(target, t, k0, atoms, images, (x, ax, y, ay), k_max, witness_bound)
+    nx, ny = basic_nbhd(top, x, t), basic_nbhd(top, y, t)
+    verdict, image = _decide(top, target, t, x, nx, y, ny, witness_bound)
     return verdict, target, image
 
 
-def _joint_with_equality(top, x, y, t, k_max):
+def _joint_with_equality(top, x, y, t):
     """check_joint_at's verdict and, when continuous, whether the image at the modulus equals the target.
 
     The image is inside the target, so it equals the target when the target
     is inside the union of its atoms, in whatever order they come.
     """
-    verdict, target, image = _joint_decision(top, x, y, t, k_max, DEFAULT_WITNESS_BOUND)
+    verdict, target, image = _joint_decision(top, x, y, t, DEFAULT_WITNESS_BOUND)
     return verdict, None if image is None else subset(target, SymSet(tuple(image))).holds
 
 
@@ -378,7 +345,6 @@ class JointCell:
 class JointReport:
     topology: TopologyDescriptor
     cells: tuple
-    k_max: int
 
     @property
     def failures(self) -> tuple:
@@ -395,12 +361,7 @@ class JointReport:
         return out
 
 
-def check_joint(
-    top: TopologyDescriptor,
-    bound: int,
-    t_max: int = 3,
-    k_max: int = DEFAULT_K_MAX,
-) -> JointReport:
+def check_joint(top: TopologyDescriptor, bound: int, t_max: int = 3) -> JointReport:
     """Sweep multiplication continuity over all carrier pairs with exponents <= bound.
 
     Each cell is tagged by which of the two points are isolated, and a
@@ -413,16 +374,14 @@ def check_joint(
     for x in points:
         for y in points:
             for t in range(1, t_max + 1):
-                verdict, equality = _joint_with_equality(top, x, y, t, k_max)
+                verdict, equality = _joint_with_equality(top, x, y, t)
                 cells.append(JointCell(x, y, t, _isolation_case(top, x, y), verdict, equality))
-    return JointReport(top, tuple(cells), k_max)
+    return JointReport(top, tuple(cells))
 
 
-def window_joint_report(
-    p: int, m: int, n: int, bound: int, t_max: int = 3, k_max: int = DEFAULT_K_MAX
-) -> JointReport:
+def window_joint_report(p: int, m: int, n: int, bound: int, t_max: int = 3) -> JointReport:
     """Joint continuity sweep for the row-window topology with those parameters."""
-    return check_joint(WindowPAdic(p, m, n), bound, t_max=t_max, k_max=k_max)
+    return check_joint(WindowPAdic(p, m, n), bound, t_max=t_max)
 
 
 # --- witness scan ------------------------------------------------------------------
@@ -441,14 +400,13 @@ def find_discontinuity(
     side: ShiftSide,
     bound: int,
     t_max: Optional[int] = None,
-    k_max: int = DEFAULT_K_MAX,
 ) -> Optional[DiscontinuityWitness]:
-    """First structurally certified shift discontinuity within the bound.
+    """First shift discontinuity within the bound.
 
     Scans pairs by total exponent size, then lexicographically, with the
-    target index innermost, and only accepts verdicts carrying a structural
-    reason, so a returned witness is a genuine discontinuity rather than a
-    search timeout.
+    target index innermost.  Every discontinuous verdict carries a
+    structural reason, so a returned witness is certified for every source
+    index.
     """
     t_top = t_max if t_max is not None else bound
     points = enumerate_members(carrier(top), bound)
@@ -458,7 +416,7 @@ def find_discontinuity(
     )
     for s, x in pairs:
         for t in range(1, t_top + 1):
-            verdict = check_shift_at(top, side, s, x, t, k_max)
+            verdict = check_shift_at(top, side, s, x, t)
             if isinstance(verdict, DiscontinuousAt):
                 return DiscontinuityWitness(s, x, t, verdict)
     return None

@@ -166,12 +166,15 @@ _DISCRETE_RE = re.compile(r"^discrete:(.+)$")
 
 
 def _parameters(cap: Optional[int], *groups) -> list:
-    """The integer parameters of a topology, each checked against the cap."""
-    values = [int(g) for g in groups]
-    for value in values:
-        if cap is not None and value > cap:
-            raise ValueError(f"topology parameter {value} exceeds the cap {cap}")
-    return values
+    """The integer parameters of a topology, each checked against the cap.
+
+    A parameter with more digits than the cap fails on its digit count, so
+    int() never reads a number longer than Python converts.
+    """
+    for g in groups:
+        if cap is not None and (len(g.lstrip("0")) > len(str(cap)) or int(g) > cap):
+            raise ValueError(f"topology parameter {g} exceeds the cap {cap}")
+    return [int(g) for g in groups]
 
 
 def parse_topology(text: str, cap: Optional[int] = None) -> TopologyDescriptor:

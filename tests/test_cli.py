@@ -186,7 +186,7 @@ def test_verify_prop2_fourth_case_rejects_a_coarse_modulus(capsys, monkeypatch):
             else c
             for c in rep.cells
         )
-        return JointReport(rep.topology, cells, rep.k_max)
+        return JointReport(rep.topology, cells)
 
     monkeypatch.setattr(verify, "check_joint", forged)
     code, out, _ = run(capsys, "verify", "prop2")
@@ -292,12 +292,12 @@ def test_steps_within_the_cap_are_answered(capsys):
     "argv, err",
     [
         (
-            ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "1", "--k-max", "-5"],
-            "error: --k-max must be at least 0, got -5\n",
+            ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "0"],
+            "error: neighborhood index must be a positive integer, got 0\n",
         ),
         (
-            ["check-joint", "padic+:2", "b^0a^0", "b^1a^1", "1", "--k-max", "-1"],
-            "error: --k-max must be at least 0, got -1\n",
+            ["check-joint", "padic+:2", "b^0a^0", "b^1a^1", "0"],
+            "error: neighborhood index must be a positive integer, got 0\n",
         ),
         (
             ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--t-max", "-2"],
@@ -307,19 +307,56 @@ def test_steps_within_the_cap_are_answered(capsys):
             ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--t-max", "0"],
             "error: --t-max must be at least 1, got 0\n",
         ),
-        (
-            ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2", "--k-max", "-3"],
-            "error: --k-max must be at least 0, got -3\n",
-        ),
     ],
 )
 def test_bad_bounds_are_usage_errors(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
 
 
-def test_k_max_zero_skips_the_test(capsys):
-    argv = ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "1", "--k-max", "0"]
-    assert run(capsys, *argv) == (0, "refuted-up-to-bound k_max=0\n", "")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "1"],
+        ["check-joint", "padic+:2", "b^0a^0", "b^1a^1", "1"],
+        ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "2"],
+    ],
+)
+def test_there_is_no_search_bound_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--k-max", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k-max 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^1a^2", "13"], "continuous t=13 k=13\n"),
+        (["check-joint", "padic+:2", "b^0a^1", "b^1a^2", "13"], "continuous t=13 k=13 equality=true\n"),
+    ],
+)
+def test_cells_above_twelve_are_decided(capsys, argv, expected):
+    # every index decides its cell at k0 = t; there is no bound to pass
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+_LONG = "1" * 4301  # one digit more than Python converts to an int by default
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["mul", f"b^{_LONG}a^0"], f"error: element 'b^{_LONG}a^0' exceeds --max-exponent 1000000\n"),
+        (["nbhd", f"padic+:{_LONG}", "b^0a^0", "1"], f"error: topology parameter {_LONG} exceeds the cap 1000000\n"),
+        (
+            ["image", "--side", "left", "b^0a^0", f"{{b^0a^{_LONG}}}"],
+            f"error: set '{{b^0a^{_LONG}}}' exceeds --max-exponent 1000000\n",
+        ),
+    ],
+    ids=["mul", "nbhd", "image"],
+)
+def test_overlong_numbers_meet_the_cap(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_unknown_command_exits_two():
@@ -757,9 +794,6 @@ _CHECK_SHIFT_ESCAPES_JSON = (
 _CHECK_SHIFT_TAIL_MODULUS_TEXT = 'continuous t=3 k=3\n'
 _CHECK_SHIFT_TAIL_MODULUS_JSON = '{"verdict": {"kind": "continuous", "modulus": [[3, 3]]}}\n'
 
-_CHECK_SHIFT_REFUTED_TEXT = 'refuted-up-to-bound k_max=2\n'
-_CHECK_SHIFT_REFUTED_JSON = '{"verdict": {"kind": "refuted-up-to-bound", "probe_bound": 2}}\n'
-
 _CHECK_JOINT_EQUALITY_TEXT = 'continuous t=2 k=2 equality=true\n'
 _CHECK_JOINT_EQUALITY_JSON = '{"equality": true, "verdict": {"kind": "continuous", "modulus": [[2, 2]]}}\n'
 
@@ -1102,11 +1136,6 @@ GOLDEN = {
         ["check-shift", "padic-:3", "--side", "left", "b^2a^1", "b^4a^0", "3"],
         _CHECK_SHIFT_TAIL_MODULUS_TEXT,
         _CHECK_SHIFT_TAIL_MODULUS_JSON,
-    ),
-    "check-shift-refuted": (
-        ["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^1a^2", "3", "--k-max", "2"],
-        _CHECK_SHIFT_REFUTED_TEXT,
-        _CHECK_SHIFT_REFUTED_JSON,
     ),
     "check-joint-equality": (
         ["check-joint", "window:2:0:2", "b^1a^1", "b^0a^5", "2"],

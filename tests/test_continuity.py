@@ -168,15 +168,8 @@ def test_check_shift_grid_report():
 
 
 def test_check_shift_explicit_pairs():
-    pairs = [(E(0, 1), E(0, 0)), (E(2, 2), E(0, 0))]
-    rep = check_shift(PAdicPlus(2), RIGHT, pairs=pairs, t_max=1)
-    assert len(rep.cells) == 2
-    assert isinstance(rep.cells[0].verdict, ContinuousAt)
-    assert isinstance(rep.cells[1].verdict, DiscontinuousAt)
-    with pytest.raises(ValueError):
-        check_shift(PAdicPlus(2), RIGHT)
-    with pytest.raises(ValueError):
-        check_shift(PAdicPlus(2), RIGHT, bound=2, pairs=pairs)
+    assert isinstance(check_shift_at(PAdicPlus(2), RIGHT, E(0, 1), E(0, 0), 1), ContinuousAt)
+    assert isinstance(check_shift_at(PAdicPlus(2), RIGHT, E(2, 2), E(0, 0), 1), DiscontinuousAt)
 
 
 # --- joint continuity ----------------------------------------------------------------
@@ -403,27 +396,42 @@ def _cells(top, bound, t_max):
                     yield side, a, b, t
 
 
-def _decide_both(top, side, a, b, t, k_max=continuity.DEFAULT_K_MAX):
+def _decide_both(top, side, a, b, t, k_max=13):
+    """The checker's verdict and the reference search's, which tries every k up to k_max."""
     if side is None:
-        return check_joint_at(top, a, b, t, k_max), _reference_joint(top, a, b, t, k_max)
-    return check_shift_at(top, side, a, b, t, k_max), _reference_shift(top, side, a, b, t, k_max)
+        return check_joint_at(top, a, b, t), _reference_joint(top, a, b, t, k_max)
+    return check_shift_at(top, side, a, b, t), _reference_shift(top, side, a, b, t, k_max)
 
 
 @pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
 def test_derived_modulus_matches_the_k_search(text):
     top = parse_topology(text)
-    deepest = None  # the continuous cell at t = 4 with the largest modulus
     for side, a, b, t in _cells(top, 4, 4):
         new, ref = _decide_both(top, side, a, b, t)
         assert new == ref, (text, side, a, b, t)
-        if t == 4 and isinstance(new, ContinuousAt):
-            if deepest is None or new.modulus_for(4) > deepest[0]:
-                deepest = (new.modulus_for(4), side, a, b)
-    assert deepest is not None
-    _, side, a, b = deepest
-    for k_max in range(0, 5):
-        new, ref = _decide_both(top, side, a, b, 4, k_max)
-        assert new == ref, (text, side, a, b, k_max)
+
+
+@pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
+def test_cells_past_twelve_match_the_k_search(text):
+    # the checker has no search bound: at t = 13 it agrees with a search up to k = 13
+    top = parse_topology(text)
+    pts = _pts(top, 3)
+    moduli = set()
+    for side in (LEFT, RIGHT, None):
+        for a in pts:
+            for b in pts:
+                new, ref = _decide_both(top, side, a, b, 13)
+                assert new == ref, (text, side, a, b)
+                moduli.add(new.modulus_for(13) if isinstance(new, ContinuousAt) else None)
+    if text.startswith("padic"):
+        assert 13 in moduli  # some tail cell needs the modulus 13 itself
+
+
+def test_a_failure_without_a_reason_raises(monkeypatch):
+    # the README's discontinuous cell, with the certificate taken away
+    monkeypatch.setattr(continuity, "_structural_reason", lambda far_tails, target: None)
+    with pytest.raises(RuntimeError):
+        check_shift_at(PAdicPlus(2), RIGHT, E(1, 1), E(0, 0), 1)
 
 
 @pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
@@ -602,5 +610,5 @@ def test_verdict_golden():
                 for t in range(1, 4):
                     digest.update(repr(check_shift_at(top, LEFT, s, x, t)).encode())
                     digest.update(repr(check_shift_at(top, RIGHT, s, x, t)).encode())
-                    digest.update(repr(_joint_with_equality(top, s, x, t, 12)).encode())
+                    digest.update(repr(_joint_with_equality(top, s, x, t)).encode())
     assert digest.hexdigest() == _VERDICT_DIGEST
