@@ -31,7 +31,6 @@ _LAYERS = {
         "SubsetWitness", "intersection_empty", "transpose", "left_image",
         "right_image", "product", "UnrepresentableProductError",
         "parse_symset", "format_symset", "symset_to_records",
-        "symset_from_records",
     ),
     "families": (
         "SetDescriptor", "Full", "CPlus", "CMinus", "CPlusRow", "CPlusWindow",
@@ -39,8 +38,8 @@ _LAYERS = {
         "contains", "closure", "ClosureResult", "enumerate_members",
         "idempotent_census", "CensusResult", "CensusVerdict", "IdempotentFamily",
         "FamilyCheck", "idempotent_family", "Neighborhood",
-        "NoIsolatingIdempotentError", "finite_neighborhood", "window_iso",
-        "anti_iso", "parse_descriptor", "format_descriptor",
+        "NoIsolatingIdempotentError", "finite_neighborhood", "parse_descriptor",
+        "format_descriptor",
     ),
     "topology": (
         "TopologyDescriptor", "Discrete", "PAdicPlus", "PAdicMinus", "WindowPAdic",

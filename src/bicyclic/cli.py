@@ -37,8 +37,6 @@ from .element import (
     word_of,
 )
 from .symset import (
-    RowTail,
-    Single,
     format_symset,
     left_image,
     parse_symset,
@@ -57,14 +55,17 @@ MAX_STEP_DIGITS = 4300
 # --- input helpers -----------------------------------------------------------
 
 
-def _check_digits(text: str, cap: int, what: str) -> None:
-    """Reject a number in the text with more digits than the cap, before int() reads it."""
-    if any(len(run.lstrip("0")) > len(str(cap)) for run in re.findall(r"\d+", text)):
-        raise ValueError(f"{what} {text!r} exceeds --max-exponent {cap}")
+def _check_digits(text: str, cap: int, what: str) -> str:
+    """Reject a number in the text above the cap, one longer than the cap before int() reads it."""
+    for run in re.findall(r"\d+", text):
+        if len(run.lstrip("0")) > len(str(cap)) or int(run) > cap:
+            raise ValueError(f"{what} {text!r} exceeds --max-exponent {cap}")
+    return text
 
 
 def _element_arg(text: str, cap: int) -> BicyclicElement:
-    _check_digits(text, cap, "element")
+    if text.strip() != "1":  # "1" names the identity, b^0a^0, not an exponent
+        _check_digits(text, cap, "element")
     try:
         e = parse_element(text)
     except ValueError:
@@ -75,17 +76,13 @@ def _element_arg(text: str, cap: int) -> BicyclicElement:
 
 
 def _symset_arg(text: str, cap: int):
-    _check_digits(text, cap, "set")
-    s = parse_symset(text)
-    for atom in s.atoms:
-        values = (
-            (atom.element.k, atom.element.l)
-            if isinstance(atom, Single)
-            else (atom.base, atom.step, atom.row if isinstance(atom, RowTail) else atom.col)
-        )
-        if max(values) > cap:
-            raise ValueError(f"set {text!r} exceeds --max-exponent {cap}")
-    return s
+    return parse_symset(_check_digits(text, cap, "set"))
+
+
+def _descriptor_arg(text: str, cap: int):
+    from .families import parse_descriptor
+
+    return parse_descriptor(_check_digits(text, cap, "family"))
 
 
 def _largest_index(p: int) -> int:
@@ -196,9 +193,9 @@ def _cmd_reduce(args):
 
 
 def _cmd_enumerate(args):
-    from .families import enumerate_members, format_descriptor, parse_descriptor
+    from .families import enumerate_members, format_descriptor
 
-    desc = parse_descriptor(args.descriptor)
+    desc = _descriptor_arg(args.descriptor, args.max_exponent)
     mem = enumerate_members(desc, args.bound)
     payload = {
         "descriptor": format_descriptor(desc),
@@ -228,9 +225,9 @@ def _cmd_closure(args):
 
 
 def _cmd_census(args):
-    from .families import format_descriptor, idempotent_census, parse_descriptor
+    from .families import format_descriptor, idempotent_census
 
-    desc = parse_descriptor(args.descriptor)
+    desc = _descriptor_arg(args.descriptor, args.max_exponent)
     r = idempotent_census(desc, args.bound)
     payload = {
         "descriptor": format_descriptor(desc),
@@ -280,9 +277,9 @@ def _cmd_prop1_family(args):
 
 
 def _cmd_thm1_nbhd(args):
-    from .families import finite_neighborhood, format_descriptor, parse_descriptor
+    from .families import finite_neighborhood, format_descriptor
 
-    desc = parse_descriptor(args.descriptor)
+    desc = _descriptor_arg(args.descriptor, args.max_exponent)
     x = _element_arg(args.element, args.max_exponent)
     nb = finite_neighborhood(desc, x, args.bound)
     elems = sorted(nb.elements)
@@ -364,6 +361,8 @@ def _cmd_check_joint(args):
 
 
 def _cmd_find_discontinuity(args):
+    if args.t_max is not None and args.t_max < 1:
+        raise ValueError(f"--t-max must be at least 1, got {args.t_max}")
     from .continuity import find_discontinuity
     from .topology import parse_topology
 
@@ -549,18 +548,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_sweep_bounds(args):
-    """Reject a --t-max below 1."""
-    t_max = getattr(args, "t_max", None)
-    if t_max is not None and t_max < 1:
-        raise ValueError(f"--t-max must be at least 1, got {t_max}")
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        _check_sweep_bounds(args)
         payload, text, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

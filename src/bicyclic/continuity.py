@@ -51,7 +51,6 @@ from .symset import (
     _left_image_atom,
     _product_atoms,
     _right_image_atom,
-    _tail_line,
     left_image,
     product,
     right_image,
@@ -153,13 +152,11 @@ def _structural_reason(far_tails, target: SymSet) -> Optional[str]:
     watom = target.atoms[0]
     if isinstance(watom, Single):
         return None
-    waxis, wline = _tail_line(watom)
     for tail in far_tails:
-        axis, line = _tail_line(tail)
-        if (axis, line) != (waxis, wline):
+        if (tail.axis, tail.line) != (watom.axis, watom.line):
             return (
-                f"the image always contains a tail along {('row', 'col')[axis]} {line}, "
-                f"but target neighborhoods live along {('row', 'col')[waxis]} {wline}"
+                f"the image always contains a tail along {('row', 'col')[tail.axis]} {tail.line}, "
+                f"but target neighborhoods live along {('row', 'col')[watom.axis]} {watom.line}"
             )
     return None
 
@@ -254,11 +251,8 @@ class ShiftCell:
     verdict: object
 
 
-@dataclass(frozen=True)
-class ShiftReport:
-    topology: TopologyDescriptor
-    side: ShiftSide
-    cells: tuple
+class _Report:
+    """The cells of a sweep that are not continuous, and whether there are none."""
 
     @property
     def failures(self) -> tuple:
@@ -267,6 +261,13 @@ class ShiftReport:
     @property
     def all_continuous(self) -> bool:
         return not self.failures
+
+
+@dataclass(frozen=True)
+class ShiftReport(_Report):
+    topology: TopologyDescriptor
+    side: ShiftSide
+    cells: tuple
 
 
 def check_shift(top: TopologyDescriptor, side: ShiftSide, bound: int, t_max: int = 3) -> ShiftReport:
@@ -342,17 +343,9 @@ class JointCell:
 
 
 @dataclass(frozen=True)
-class JointReport:
+class JointReport(_Report):
     topology: TopologyDescriptor
     cells: tuple
-
-    @property
-    def failures(self) -> tuple:
-        return tuple(c for c in self.cells if not isinstance(c.verdict, ContinuousAt))
-
-    @property
-    def all_continuous(self) -> bool:
-        return not self.failures
 
     def cases(self) -> dict:
         out = {}

@@ -75,9 +75,6 @@ class BicyclicElement:
     def __str__(self) -> str:
         return format_element(self)
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "l": self.l}
-
 
 IDENTITY = BicyclicElement(0, 0)
 

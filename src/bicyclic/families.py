@@ -31,7 +31,6 @@ from .element import (
     BicyclicElement,
     Half,
     half_membership,
-    invert,
     multiply,
     parse_element,
     power,
@@ -61,8 +60,6 @@ __all__ = [
     "Neighborhood",
     "NoIsolatingIdempotentError",
     "finite_neighborhood",
-    "window_iso",
-    "anti_iso",
     "parse_descriptor",
     "format_descriptor",
 ]
@@ -519,25 +516,6 @@ def finite_neighborhood(desc: SetDescriptor, x: BicyclicElement, bound: int) -> 
         if not generated and not (contains(desc, lam, bound) and contains(desc, rho, bound)):
             raise RuntimeError("translation maps left the family")
     return Neighborhood(i0, block)
-
-
-# --- window shift and inversion ------------------------------------------------
-
-
-def window_iso(m: int, n: int, x: BicyclicElement) -> BicyclicElement:
-    """Shift a row-window member down to the [0, n - m] window.
-
-    The map b^s a^(s+i) -> b^(s-m) a^(s-m+i) is an isomorphism between the
-    two windows; multiplicativity is covered by the test suite.
-    """
-    if not contains(CPlusWindow(m, n), x):
-        raise ValueError(f"{x} is not in rows [{m}, {n}] of the upper half")
-    return BicyclicElement(x.k - m, x.l - m)
-
-
-def anti_iso(x: BicyclicElement) -> BicyclicElement:
-    """The inversion map, an anti-isomorphism exchanging the two halves."""
-    return invert(x)
 
 
 # --- descriptor grammar ----------------------------------------------------------

@@ -6,6 +6,9 @@ Three atom shapes cover everything the neighborhood calculus needs:
     RowTail(r, b, d)        { b^r a^(b + d*t) : t = 0, 1, 2, ... }
     ColTail(c, b, d)        { b^(b + d*t) a^c : t = 0, 1, 2, ... }
 
+A tail is a line (r or c), a base b and a step d on an axis, 0 for a row
+and 1 for a column; inversion swaps the two axes.
+
 A SymSet denotes the union of its atoms.  All operations are exact: subset
 tests return a certificate (a periodic covering bound, or a counterexample
 element), and translation/product images are computed by case analysis on
@@ -55,7 +58,6 @@ __all__ = [
     "parse_symset",
     "format_symset",
     "symset_to_records",
-    "symset_from_records",
 ]
 
 
@@ -74,34 +76,35 @@ class Single:
 
 
 @dataclass(frozen=True)
-class RowTail:
+class Tail:
+    """A progression along `line` on its subclass's axis; a RowTail never equals a ColTail."""
+
+    line: int
+    base: int
+    step: int
+
+    def __post_init__(self):
+        _check_uint(self.line, ("row", "col")[self.axis])
+        _check_uint(self.base, "base")
+        if not isinstance(self.step, int) or self.step < 1:
+            raise ValueError(f"step must be a positive integer, got {self.step!r}")
+
+
+class RowTail(Tail):
     """Fixed first exponent, second exponent running up an arithmetic progression."""
 
-    row: int
-    base: int
-    step: int
-
-    def __post_init__(self):
-        _check_uint(self.row, "row")
-        _check_uint(self.base, "base")
-        if not isinstance(self.step, int) or self.step < 1:
-            raise ValueError(f"step must be a positive integer, got {self.step!r}")
+    axis = 0
+    row = property(lambda self: self.line)
 
 
-@dataclass(frozen=True)
-class ColTail:
+class ColTail(Tail):
     """Fixed second exponent, first exponent running up an arithmetic progression."""
 
-    col: int
-    base: int
-    step: int
+    axis = 1
+    col = property(lambda self: self.line)
 
-    def __post_init__(self):
-        _check_uint(self.col, "col")
-        _check_uint(self.base, "base")
-        if not isinstance(self.step, int) or self.step < 1:
-            raise ValueError(f"step must be a positive integer, got {self.step!r}")
 
+_TAIL = (RowTail, ColTail)  # the tail class of each axis
 
 Atom = Union[Single, RowTail, ColTail]
 
@@ -130,9 +133,8 @@ def symset(*atoms: Atom) -> SymSet:
 def atom_member(atom: Atom, x: BicyclicElement) -> bool:
     if isinstance(atom, Single):
         return atom.element == x
-    if isinstance(atom, RowTail):
-        return x.k == atom.row and _on_progression(atom, x.l)
-    return x.l == atom.col and _on_progression(atom, x.k)
+    line, value = (x.k, x.l) if atom.axis == 0 else (x.l, x.k)
+    return line == atom.line and _on_progression(atom, value)
 
 
 def member(s: SymSet, x: BicyclicElement) -> bool:
@@ -143,9 +145,7 @@ def atom_members(atom: Atom, count: int) -> list:
     """The first `count` members in increasing progression order."""
     if isinstance(atom, Single):
         return [atom.element]
-    if isinstance(atom, RowTail):
-        return [BicyclicElement(atom.row, atom.base + atom.step * t) for t in range(count)]
-    return [BicyclicElement(atom.base + atom.step * t, atom.col) for t in range(count)]
+    return [_element(atom.axis, atom.line, atom.base + atom.step * t) for t in range(count)]
 
 
 def members(s: SymSet, count_per_atom: int) -> list:
@@ -162,9 +162,7 @@ def _transpose_atom(atom: Atom) -> Atom:
     # elementwise inversion (k, l) -> (l, k); swaps the two tail orientations
     if isinstance(atom, Single):
         return Single(invert(atom.element))
-    if isinstance(atom, RowTail):
-        return ColTail(atom.row, atom.base, atom.step)
-    return RowTail(atom.col, atom.base, atom.step)
+    return _TAIL[1 - atom.axis](atom.line, atom.base, atom.step)
 
 
 def transpose(s: SymSet) -> SymSet:
@@ -175,37 +173,33 @@ def transpose(s: SymSet) -> SymSet:
 def _atom_key(atom: Atom):
     if isinstance(atom, Single):
         return (0, atom.element.k, atom.element.l, 0)
-    if isinstance(atom, RowTail):
-        return (1, atom.row, atom.base, atom.step)
-    return (2, atom.col, atom.base, atom.step)
+    return (1 + atom.axis, atom.line, atom.base, atom.step)
 
 
 class _LineIndex:
-    """The atoms of one set, looked up by the row or column they lie on.
+    """The atoms of one set, looked up by the line they lie on.
 
-    Built in O(atoms).  Axis 0 is rows and axis 1 is columns: tails[0] maps
-    a row to its RowTails and tails[1] a column to its ColTails, and
-    line_points[0] (line_points[1]) maps a row (column) to the free exponents
-    l (k) of the points on it.  Points stay out of `tails`, so the tails of a
-    line are all that membership ever scans.
+    Built in O(atoms).  For each axis (0 for rows, 1 for columns),
+    tails[axis] maps a line to the tails on it, and line_points[axis] maps
+    a line to the free exponents of the points on it: l for a point on row
+    k, k for a point on column l.  Points stay out of `tails`, so the tails
+    of a line are all that membership ever scans.
     """
 
     __slots__ = ("points", "tails", "line_points")
 
     def __init__(self, atoms: Iterable[Atom]):
-        points, row_points, col_points, rows, cols = set(), {}, {}, {}, {}
+        points, row_points, col_points, tails = set(), {}, {}, ({}, {})
         for atom in atoms:
             if isinstance(atom, Single):
                 k, l = atom.element.k, atom.element.l
                 points.add((k, l))
                 row_points.setdefault(k, []).append(l)
                 col_points.setdefault(l, []).append(k)
-            elif isinstance(atom, RowTail):
-                rows.setdefault(atom.row, []).append(atom)
             else:
-                cols.setdefault(atom.col, []).append(atom)
+                tails[atom.axis].setdefault(atom.line, []).append(atom)
         self.points = points
-        self.tails = (rows, cols)
+        self.tails = tails
         self.line_points = (row_points, col_points)
 
     def has(self, k: int, l: int) -> bool:
@@ -215,11 +209,6 @@ class _LineIndex:
             or _any_on_progression(self.tails[0].get(k, ()), l)
             or _any_on_progression(self.tails[1].get(l, ()), k)
         )
-
-
-def _tail_line(tail) -> tuple:
-    """(axis, line) of a tail: (0, row) for a RowTail, (1, col) for a ColTail."""
-    return (0, tail.row) if isinstance(tail, RowTail) else (1, tail.col)
 
 
 def _on_progression(tail, value: int) -> bool:
@@ -271,7 +260,8 @@ def _atoms_within(atoms, outer) -> bool:
                 return False
         elif (
             isinstance(outer, Single)
-            or _tail_line(atom) != _tail_line(outer)
+            or atom.axis != outer.axis
+            or atom.line != outer.line
             or not _tail_holds(outer, atom)
         ):
             return False
@@ -385,7 +375,7 @@ def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
     bound span a whole period there: a scan up to it decides the test, and
     an in-order scan finds the same counterexample.
     """
-    axis, line = _tail_line(tail)
+    axis, line = tail.axis, tail.line
     same_line = index.tails[axis].get(line, ())
     fixed = list(index.line_points[axis].get(line, ()))
     for cross, tails in index.tails[1 - axis].items():
@@ -413,8 +403,7 @@ def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
         ]
         value = _walk_classes(gaps, joint, fixed, end) if gaps else None
         if value is not None:
-            k, l = (line, value) if axis == 0 else (value, line)
-            return SubsetWitness(False, counterexample=BicyclicElement(k, l))
+            return SubsetWitness(False, counterexample=_element(axis, line, value))
     # the last stretch starts at top, with every same-line tail active
     return SubsetWitness(True, covering_bound=max([start] + fixed) + period * step)
 
@@ -474,16 +463,16 @@ def atom_disjoint(a: Atom, b: Atom) -> bool:
     if isinstance(b, Single):
         return not atom_member(a, b.element)
     if isinstance(a, RowTail) and isinstance(b, RowTail):
-        if a.row != b.row:
+        if a.line != b.line:
             return True
         return (a.base - b.base) % gcd(a.step, b.step) != 0
     if isinstance(a, ColTail) and isinstance(b, ColTail):
-        if a.col != b.col:
+        if a.line != b.line:
             return True
         return (a.base - b.base) % gcd(a.step, b.step) != 0
     row_tail, col_tail = (a, b) if isinstance(a, RowTail) else (b, a)
     # the only possible common element is (row, col)
-    meet = BicyclicElement(row_tail.row, col_tail.col)
+    meet = BicyclicElement(row_tail.line, col_tail.line)
     return not (atom_member(row_tail, meet) and atom_member(col_tail, meet))
 
 
@@ -501,7 +490,7 @@ def intersection_empty(a: SymSet, b: SymSet) -> bool:
             if index.has(x.element.k, x.element.l):
                 return False
             continue
-        axis, line = _tail_line(x)
+        axis, line = x.axis, x.line
         for value in index.line_points[axis].get(line, ()):
             if _on_progression(x, value):
                 return False
@@ -526,14 +515,9 @@ def _first_value_above(base: int, step: int, threshold: int) -> int:
     return base + step * ((threshold - base) // step + 1)
 
 
-def _point(axis: int, k: int, l: int) -> Single:
-    """{b^k a^l} on axis 0; on axis 1 its transpose {b^l a^k}."""
-    return Single(BicyclicElement(k, l) if axis == 0 else BicyclicElement(l, k))
-
-
-def _tail(axis: int, line: int, base: int, step: int) -> Atom:
-    """A RowTail on row `line` (axis 0) or a ColTail on column `line` (axis 1)."""
-    return RowTail(line, base, step) if axis == 0 else ColTail(line, base, step)
+def _element(axis: int, line: int, value: int) -> BicyclicElement:
+    """The element on `line` of the axis whose free exponent is `value`."""
+    return BicyclicElement(line, value) if axis == 0 else BicyclicElement(value, line)
 
 
 def _left_image_atom(s: BicyclicElement, atom: Atom, axis: int = 0) -> list:
@@ -546,49 +530,42 @@ def _left_image_atom(s: BicyclicElement, atom: Atom, axis: int = 0) -> list:
     if isinstance(atom, Single):
         z = multiply(s, atom.element)
         return [Single(z if axis == 0 else invert(z))]
-    if isinstance(atom, RowTail):
-        # the comparison s.l vs row is the same for every member
-        if s.l < atom.row:
-            return [_tail(axis, s.k - s.l + atom.row, atom.base, atom.step)]
-        if s.l == atom.row:
-            return [_tail(axis, s.k, atom.base, atom.step)]
-        return [_tail(axis, s.k, s.l - atom.row + atom.base, atom.step)]
-    # ColTail: the comparison s.l vs the running first exponent splits the tail
+    line = atom.line
+    if atom.axis == 0:
+        # the comparison s.l vs the row is the same for every member
+        if s.l < line:
+            return [_TAIL[axis](s.k - s.l + line, atom.base, atom.step)]
+        if s.l == line:
+            return [_TAIL[axis](s.k, atom.base, atom.step)]
+        return [_TAIL[axis](s.k, s.l - line + atom.base, atom.step)]
+    # a column: the comparison s.l vs the running first exponent splits the tail
     out = []
     value = atom.base
     while value < s.l:  # finitely many members below s.l collapse to points
-        out.append(_point(axis, s.k, s.l - value + atom.col))
+        out.append(Single(_element(axis, s.k, s.l - value + line)))
         value += atom.step
     if value == s.l:
-        out.append(_point(axis, s.k, atom.col))
+        out.append(Single(_element(axis, s.k, line)))
     high = _first_value_above(atom.base, atom.step, s.l)
-    out.append(_tail(1 - axis, atom.col, s.k - s.l + high, atom.step))
+    out.append(_TAIL[1 - axis](line, s.k - s.l + high, atom.step))
     return out
 
 
 def left_image(s: BicyclicElement, sets: SymSet) -> SymSet:
-    """The exact set { s * x : x in sets }."""
-    atoms = []
-    for atom in sets.atoms:
-        atoms.extend(_left_image_atom(s, atom))
-    return canonicalize(SymSet(tuple(atoms)))
+    """The exact set { s * x : x in sets }, the product of the point {s} and the set."""
+    return canonicalize(SymSet(tuple(_product_atoms(SymSet((Single(s),)), sets))))
 
 
 def _right_image_atom(atom: Atom, s: BicyclicElement) -> list:
     # inversion is an anti-isomorphism, x * s = inv(inv(s) * inv(x)): the
     # right image is the left image by inv(s) of the transposed atom, built
     # transposed back (axis 1); only the input atom is transposed
-    if isinstance(atom, Single):
-        return [Single(multiply(atom.element, s))]
     return _left_image_atom(invert(s), _transpose_atom(atom), 1)
 
 
 def right_image(sets: SymSet, s: BicyclicElement) -> SymSet:
-    """The exact set { x * s : x in sets }, via the inversion anti-isomorphism."""
-    atoms = []
-    for atom in sets.atoms:
-        atoms.extend(_right_image_atom(atom, s))
-    return canonicalize(SymSet(tuple(atoms)))
+    """The exact set { x * s : x in sets }, the product of the set and the point {s}."""
+    return canonicalize(SymSet(tuple(_product_atoms(sets, SymSet((Single(s),))))))
 
 
 # --- products --------------------------------------------------------------------
@@ -612,8 +589,8 @@ def _semigroup_atoms(row: int, base: int, d1: int, d2: int, axis: int = 0) -> li
         for v in range((conductor - a * u) // b + 1 if conductor >= a * u else 0)
     }
     for s in sorted(v for v in reachable if v < conductor):
-        atoms.append(_point(axis, row, base + g * s))
-    atoms.append(_tail(axis, row, base + g * conductor, g))
+        atoms.append(Single(_element(axis, row, base + g * s)))
+    atoms.append(_TAIL[axis](row, base + g * conductor, g))
     return atoms
 
 
@@ -621,13 +598,13 @@ def _product_row_row(x: RowTail, y: RowTail, axis: int = 0) -> list:
     """The atoms of x * y, transposed when axis is 1; the far tail is last."""
     atoms = []
     value = x.base
-    while value < y.row:  # low members of x act by shifting into y's row copy
-        atoms.append(_tail(axis, x.row - value + y.row, y.base, y.step))
+    while value < y.line:  # low members of x act by shifting into y's row copy
+        atoms.append(_TAIL[axis](x.line - value + y.line, y.base, y.step))
         value += x.step
-    if value == y.row:
-        atoms.append(_tail(axis, x.row, y.base, y.step))
-    high = _first_value_above(x.base, x.step, y.row)
-    atoms.extend(_semigroup_atoms(x.row, high - y.row + y.base, x.step, y.step, axis))
+    if value == y.line:
+        atoms.append(_TAIL[axis](x.line, y.base, y.step))
+    high = _first_value_above(x.base, x.step, y.line)
+    atoms.extend(_semigroup_atoms(x.line, high - y.line + y.base, x.step, y.step, axis))
     return atoms
 
 
@@ -637,11 +614,11 @@ def _product_row_col(x: RowTail, y: ColTail) -> list:
     g = gcd(x.step, y.step)
     atoms = []
     forward = (y.base - x.base) % g
-    atoms.append(ColTail(y.col, x.row + (forward if forward else g), g))
+    atoms.append(ColTail(y.line, x.line + (forward if forward else g), g))
     if (y.base - x.base) % g == 0:
-        atoms.append(Single(BicyclicElement(x.row, y.col)))
+        atoms.append(Single(BicyclicElement(x.line, y.line)))
     backward = (x.base - y.base) % g
-    atoms.append(RowTail(x.row, y.col + (backward if backward else g), g))
+    atoms.append(RowTail(x.line, y.line + (backward if backward else g), g))
     return atoms
 
 
@@ -663,11 +640,9 @@ def _product_atoms(a: SymSet, b: SymSet) -> list:
                 atoms.extend(_left_image_atom(x.element, y))
             elif isinstance(y, Single):
                 atoms.extend(_right_image_atom(x, y.element))
-            elif isinstance(x, RowTail) and isinstance(y, RowTail):
-                atoms.extend(_product_row_row(x, y))
-            elif isinstance(x, RowTail) and isinstance(y, ColTail):
-                atoms.extend(_product_row_col(x, y))
-            elif isinstance(x, ColTail) and isinstance(y, ColTail):
+            elif x.axis == 0:
+                atoms.extend(_product_row_row(x, y) if y.axis == 0 else _product_row_col(x, y))
+            elif y.axis == 1:
                 # x * y = inv(inv(y) * inv(x)), built transposed back (axis 1)
                 atoms.extend(_product_row_row(_transpose_atom(y), _transpose_atom(x), 1))
             else:
@@ -688,9 +663,8 @@ _COLTAIL_RE = re.compile(r"^\{\s*b\^\(\s*(\d+)\s*\+\s*(\d+)\s*t\s*\)\s*a\^(\d+)\
 def _format_atom(atom: Atom) -> str:
     if isinstance(atom, Single):
         return f"{{b^{atom.element.k} a^{atom.element.l}}}"
-    if isinstance(atom, RowTail):
-        return f"{{b^{atom.row} a^({atom.base}+{atom.step}t)}}"
-    return f"{{b^({atom.base}+{atom.step}t) a^{atom.col}}}"
+    run = f"({atom.base}+{atom.step}t)"
+    return f"{{b^{atom.line} a^{run}}}" if atom.axis == 0 else f"{{b^{run} a^{atom.line}}}"
 
 
 def format_symset(s: SymSet) -> str:
@@ -727,23 +701,7 @@ def symset_to_records(s: SymSet) -> list:
     for atom in s.atoms:
         if isinstance(atom, Single):
             records.append({"type": "single", "k": atom.element.k, "l": atom.element.l})
-        elif isinstance(atom, RowTail):
-            records.append({"type": "row_tail", "row": atom.row, "base": atom.base, "step": atom.step})
         else:
-            records.append({"type": "col_tail", "col": atom.col, "base": atom.base, "step": atom.step})
+            name = ("row", "col")[atom.axis]
+            records.append({"type": f"{name}_tail", name: atom.line, "base": atom.base, "step": atom.step})
     return records
-
-
-def symset_from_records(records: list) -> SymSet:
-    atoms = []
-    for rec in records:
-        kind = rec.get("type")
-        if kind == "single":
-            atoms.append(Single(BicyclicElement(rec["k"], rec["l"])))
-        elif kind == "row_tail":
-            atoms.append(RowTail(rec["row"], rec["base"], rec["step"]))
-        elif kind == "col_tail":
-            atoms.append(ColTail(rec["col"], rec["base"], rec["step"]))
-        else:
-            raise ValueError(f"unknown atom record type {kind!r}")
-    return canonicalize(SymSet(tuple(atoms)))

@@ -9,7 +9,8 @@ chain of basic neighborhoods indexed by idx = 1, 2, 3, ...
     its column, so each row carries a copy of the p-adic style
     progression filter on the column index.
   * PAdicMinus(p) on the lower half: the image of PAdicPlus under the
-    inversion anti-isomorphism, columns in place of rows.
+    inversion anti-isomorphism, columns in place of rows.  The two share
+    one class body and differ only in their axis, 0 (rows) or 1 (columns).
   * WindowPAdic(p, m, n) on rows m..n of the upper half: points with
     second exponent at most n are isolated, all others keep their row
     progressions.
@@ -35,7 +36,7 @@ from .families import (
     format_descriptor,
     parse_descriptor,
 )
-from .symset import ColTail, RowTail, Single, SymSet, intersection_empty
+from .symset import _TAIL, Single, SymSet, intersection_empty
 
 __all__ = [
     "TopologyDescriptor",
@@ -72,19 +73,21 @@ class Discrete(TopologyDescriptor):
 
 
 @dataclass(frozen=True)
-class PAdicPlus(TopologyDescriptor):
+class _PAdic(TopologyDescriptor):
+    """Progressions of step p^idx along the lines of the class's `axis`."""
+
     p: int
 
     def __post_init__(self):
         _require_prime(self.p)
 
 
-@dataclass(frozen=True)
-class PAdicMinus(TopologyDescriptor):
-    p: int
+class PAdicPlus(_PAdic):
+    axis = 0  # rows of the upper half
 
-    def __post_init__(self):
-        _require_prime(self.p)
+
+class PAdicMinus(_PAdic):
+    axis = 1  # columns of the lower half
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,8 @@ class WindowPAdic(TopologyDescriptor):
     p: int
     m: int
     n: int
+
+    axis = 0  # its tails run along rows
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -102,10 +107,8 @@ class WindowPAdic(TopologyDescriptor):
 def carrier(top: TopologyDescriptor) -> SetDescriptor:
     if isinstance(top, Discrete):
         return top.carrier_desc
-    if isinstance(top, PAdicPlus):
-        return CPlus()
-    if isinstance(top, PAdicMinus):
-        return CMinus()
+    if isinstance(top, _PAdic):
+        return CMinus() if top.axis else CPlus()
     if isinstance(top, WindowPAdic):
         return CPlusWindow(top.m, top.n)
     raise TypeError(f"unknown topology {top!r}")
@@ -119,31 +122,20 @@ def _check_point(top: TopologyDescriptor, x: BicyclicElement):
 
 
 def is_isolated(top: TopologyDescriptor, x: BicyclicElement) -> bool:
-    _check_point(top, x)
-    if isinstance(top, Discrete):
-        return True
-    if isinstance(top, WindowPAdic):
-        return x.l <= top.n
-    return False
+    """Whether the basic neighborhoods of x are the point itself."""
+    return isinstance(basic_nbhd(top, x, 1).atoms[0], Single)
 
 
 def basic_nbhd(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> SymSet:
     """The idx-th basic neighborhood of x, as a one-atom SymSet."""
     if not isinstance(idx, int) or idx < 1:
         raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
-    _check_point(top, x)
-    if isinstance(top, Discrete):
+    _check_point(top, x)  # an unknown topology raises TypeError here
+    if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
         return SymSet((Single(x),))
-    if isinstance(top, PAdicPlus):
-        return SymSet((RowTail(x.k, x.l, top.p**idx),))
-    if isinstance(top, PAdicMinus):
-        # transport of the row filter through inversion: first exponent runs
-        return SymSet((ColTail(x.l, x.k, top.p**idx),))
-    if isinstance(top, WindowPAdic):
-        if x.l <= top.n:
-            return SymSet((Single(x),))
-        return SymSet((RowTail(x.k, x.l, top.p**idx),))
-    raise TypeError(f"unknown topology {top!r}")
+    # the progression through x along its row, or its column for PAdicMinus
+    line, base = (x.k, x.l) if top.axis == 0 else (x.l, x.k)
+    return SymSet((_TAIL[top.axis](line, base, top.p**idx),))
 
 
 def separation_index(
@@ -180,8 +172,9 @@ def _parameters(cap: Optional[int], *groups) -> list:
 def parse_topology(text: str, cap: Optional[int] = None) -> TopologyDescriptor:
     """Parse discrete:<carrier> | padic+:<p> | padic-:<p> | window:<p>:<m>:<n>.
 
-    With a cap, a p, m or n above it raises ValueError before any
-    descriptor is built, so a huge p never reaches the prime test.
+    With a cap, a p, m or n, or a number in a discrete carrier's family,
+    above it raises ValueError before any descriptor is built, so a huge p
+    never reaches the prime test.
     """
     body = text.strip()
     m = _PADIC_RE.match(body)
@@ -193,6 +186,7 @@ def parse_topology(text: str, cap: Optional[int] = None) -> TopologyDescriptor:
         return WindowPAdic(*_parameters(cap, *m.groups()))
     m = _DISCRETE_RE.match(body)
     if m:
+        _parameters(cap, *re.findall(r"\d+", m.group(1)))
         return Discrete(parse_descriptor(m.group(1)))
     raise ValueError(f"cannot parse topology {text!r}")
 
@@ -200,10 +194,8 @@ def parse_topology(text: str, cap: Optional[int] = None) -> TopologyDescriptor:
 def format_topology(top: TopologyDescriptor) -> str:
     if isinstance(top, Discrete):
         return f"discrete:{format_descriptor(top.carrier_desc)}"
-    if isinstance(top, PAdicPlus):
-        return f"padic+:{top.p}"
-    if isinstance(top, PAdicMinus):
-        return f"padic-:{top.p}"
+    if isinstance(top, _PAdic):
+        return f"padic{'+-'[top.axis]}:{top.p}"
     if isinstance(top, WindowPAdic):
         return f"window:{top.p}:{top.m}:{top.n}"
     raise TypeError(f"unknown topology {top!r}")

@@ -5,10 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bicyclic
 from bicyclic.cli import main
+
+# child interpreters import bicyclic from the same source tree as this process
+_SRC = str(Path(bicyclic.__file__).resolve().parents[1])
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -352,8 +358,48 @@ _LONG = "1" * 4301  # one digit more than Python converts to an int by default
             ["image", "--side", "left", "b^0a^0", f"{{b^0a^{_LONG}}}"],
             f"error: set '{{b^0a^{_LONG}}}' exceeds --max-exponent 1000000\n",
         ),
+        (
+            ["enumerate", f"gen:b^{_LONG}a^0", "--bound", "2"],
+            f"error: family 'gen:b^{_LONG}a^0' exceeds --max-exponent 1000000\n",
+        ),
+        (
+            ["nbhd", f"discrete:gen:b^{_LONG}a^0", "b^0a^0", "1"],
+            f"error: topology parameter {_LONG} exceeds the cap 1000000\n",
+        ),
+        (
+            ["enumerate", "cplus-row:2000000", "--bound", "2"],
+            "error: family 'cplus-row:2000000' exceeds --max-exponent 1000000\n",
+        ),
+        (
+            ["census", "cplus-window:0:2000000"],
+            "error: family 'cplus-window:0:2000000' exceeds --max-exponent 1000000\n",
+        ),
+        (
+            ["thm1-nbhd", f"gen:b^0a^1,b^{_LONG}a^0", "b^0a^1"],
+            f"error: family 'gen:b^0a^1,b^{_LONG}a^0' exceeds --max-exponent 1000000\n",
+        ),
+        (
+            ["nbhd", "discrete:cplus-row:2000000", "b^0a^0", "1"],
+            "error: topology parameter 2000000 exceeds the cap 1000000\n",
+        ),
+        (
+            # the point lies on the tail, so the canonical form drops it
+            ["image", "--side", "left", "b^0a^0", "{b^0 a^(0+1t)} | {b^0 a^2000000}"],
+            "error: set '{b^0 a^(0+1t)} | {b^0 a^2000000}' exceeds --max-exponent 1000000\n",
+        ),
     ],
-    ids=["mul", "nbhd", "image"],
+    ids=[
+        "mul",
+        "nbhd",
+        "image",
+        "enumerate-gen",
+        "nbhd-discrete-gen",
+        "enumerate-row",
+        "census-window",
+        "thm1-nbhd",
+        "nbhd-discrete-row",
+        "image-absorbed",
+    ],
 )
 def test_overlong_numbers_meet_the_cap(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
@@ -1307,6 +1353,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "bicyclic", "mul", "b^2a^3", "b^5a^1"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert r.returncode == 0 and r.stdout == "b^4a^1\n"
 
@@ -1321,6 +1368,7 @@ def test_closed_pipe_exits_141_without_a_traceback():
             [sys.executable, "-m", "bicyclic", "mul", "b^2a^3", "b^5a^1"],
             stdout=write_end,
             stderr=subprocess.PIPE,
+            env=_CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -1365,7 +1413,7 @@ def test_command_loads_only_the_layers_it_uses(argv, loaded):
         f"    code = main({argv!r})\n"
         "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('bicyclic'))))\n"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout == f"0 {json.dumps(sorted(loaded))}\n"
 

@@ -21,7 +21,6 @@ from bicyclic import (
     Full,
     IdempotentChain,
     NoIsolatingIdempotentError,
-    anti_iso,
     closure,
     contains,
     enumerate_members,
@@ -32,7 +31,6 @@ from bicyclic import (
     membership,
     multiply,
     parse_descriptor,
-    window_iso,
 )
 
 E = BicyclicElement
@@ -433,26 +431,14 @@ def test_neighborhood_requires_membership():
 
 
 def test_window_iso_is_multiplicative():
+    # b^s a^(s+i) -> b^(s-m) a^(s-m+i) shifts rows [m, n] down to rows [0, n - m]
+    def shift(x):
+        return E(x.k - 2, x.l - 2)
+
     src = enumerate_members(CPlusWindow(2, 4), 6)
     for x in src:
         for y in src:
-            assert window_iso(2, 4, multiply(x, y)) == multiply(
-                window_iso(2, 4, x), window_iso(2, 4, y)
-            )
-
-
-def test_window_iso_range():
-    assert window_iso(2, 4, E(3, 5)) == E(1, 3)
-    with pytest.raises(ValueError):
-        window_iso(2, 4, E(1, 5))
-
-
-def test_anti_iso_swaps_halves():
-    assert anti_iso(E(2, 5)) == E(5, 2)
-    pts = enumerate_members(CPlus(), 3)
-    for x in pts:
-        for y in pts:
-            assert anti_iso(multiply(x, y)) == multiply(anti_iso(y), anti_iso(x))
+            assert shift(multiply(x, y)) == multiply(shift(x), shift(y))
 
 
 # --- descriptor grammar -----------------------------------------------------------------

@@ -22,7 +22,7 @@ PUBLIC = {
     "NoIsolatingIdempotentError", "PAdicMinus", "PAdicPlus", "RefutedUpToBound", "RowTail",
     "SetDescriptor", "ShiftCell", "ShiftReport", "ShiftSide", "Single", "SubsetWitness",
     "SymSet", "TopologyDescriptor", "UnrepresentableProductError", "WindowPAdic",
-    "__version__", "anti_iso", "apply_shift", "atom_members", "basic_nbhd", "canonicalize",
+    "__version__", "apply_shift", "atom_members", "basic_nbhd", "canonicalize",
     "carrier", "check_joint", "check_joint_at", "check_shift", "check_shift_at", "closure",
     "contains", "enumerate_members", "equation_replay", "find_discontinuity",
     "finite_neighborhood", "format_descriptor", "format_element", "format_symset",
@@ -32,8 +32,7 @@ PUBLIC = {
     "parse_descriptor", "parse_element", "parse_symset", "parse_topology", "parse_word",
     "power", "product", "reduce_word", "right_image",
     "separation_index", "shift_image", "solve_left", "solve_right", "subset", "symset",
-    "symset_from_records", "symset_to_records", "transpose", "union", "window_iso",
-    "window_joint_report", "word_of",
+    "symset_to_records", "transpose", "union", "window_joint_report", "word_of",
 }
 
 
@@ -47,7 +46,7 @@ def run_fresh(code: str) -> str:
 
 
 def test_all_is_the_public_surface():
-    assert len(bicyclic.__all__) == len(PUBLIC) == 99
+    assert len(bicyclic.__all__) == len(PUBLIC) == 96
     assert set(bicyclic.__all__) == PUBLIC
 
 

@@ -33,7 +33,6 @@ from bicyclic import (
     solve_right,
     subset,
     symset,
-    symset_from_records,
     symset_to_records,
     transpose,
     union,
@@ -145,6 +144,47 @@ def test_transpose_is_inversion_pointwise(atom_list, x):
     s = symset(*atom_list)
     assert member(transpose(s), invert(x)) == member(s, x)
     assert transpose(transpose(s)) == s
+
+
+# --- the tail classes that callers outside the package build and read ---------------
+
+
+def test_tails_build_positionally_and_read_their_line():
+    row, col = RowTail(1, 2, 3), ColTail(4, 5, 6)
+    assert (row.row, row.base, row.step) == (1, 2, 3)
+    assert (col.col, col.base, col.step) == (4, 5, 6)
+    assert hasattr(row, "row") and not hasattr(row, "col")
+    assert hasattr(col, "col") and not hasattr(col, "row")
+
+
+def test_a_tail_kind_is_part_of_its_identity():
+    row, col = RowTail(1, 2, 3), ColTail(1, 2, 3)
+    assert row != col
+    assert row == RowTail(1, 2, 3) and hash(row) == hash(RowTail(1, 2, 3))
+    assert len({row, col, RowTail(1, 2, 3)}) == 2
+    assert repr(row) == "RowTail(line=1, base=2, step=3)"
+
+
+def test_transpose_swaps_the_tail_kind_and_keeps_its_fields():
+    assert transpose(SymSet((RowTail(1, 2, 3),))) == SymSet((ColTail(1, 2, 3),))
+    assert transpose(SymSet((ColTail(1, 2, 3),))) == SymSet((RowTail(1, 2, 3),))
+
+
+@pytest.mark.parametrize("cls, name", [(RowTail, "row"), (ColTail, "col")])
+def test_a_negative_line_names_the_kind(cls, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        cls(-1, 0, 1)
+    with pytest.raises(ValueError, match="^step"):
+        cls(0, 0, 0)
+
+
+def test_records_keep_their_type_names_and_keys():
+    s = SymSet((Single(E(1, 2)), RowTail(0, 3, 2), ColTail(4, 1, 5)))
+    assert symset_to_records(s) == [
+        {"type": "single", "k": 1, "l": 2},
+        {"type": "row_tail", "row": 0, "base": 3, "step": 2},
+        {"type": "col_tail", "col": 4, "base": 1, "step": 5},
+    ]
 
 
 # --- subset with certificates ----------------------------------------------------------
@@ -673,9 +713,3 @@ def test_parse_symset_forms():
     assert member(two, E(9, 9)) and member(two, E(0, 5))
     with pytest.raises(ValueError):
         parse_symset("{b^1}")
-
-
-@given(st.lists(atoms, max_size=4))
-def test_record_roundtrip(atom_list):
-    s = symset(*atom_list)
-    assert symset_from_records(symset_to_records(s)) == s

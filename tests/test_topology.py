@@ -159,6 +159,16 @@ def test_separation_index_values():
 # --- grammar -------------------------------------------------------------------------
 
 
+def test_padic_descriptors_keep_their_kind():
+    assert repr(PAdicPlus(2)) == "PAdicPlus(p=2)" and repr(PAdicMinus(3)) == "PAdicMinus(p=3)"
+    assert PAdicPlus(2) != PAdicMinus(2) and len({PAdicPlus(2), PAdicMinus(2)}) == 2
+    assert format_topology(PAdicPlus(2)) == "padic+:2"
+    assert format_topology(PAdicMinus(2)) == "padic-:2"
+    assert carrier(PAdicPlus(2)) == CPlus() and carrier(PAdicMinus(2)) == CMinus()
+    with pytest.raises(ValueError, match="must be prime"):
+        PAdicMinus(4)
+
+
 def test_topology_grammar_roundtrip():
     for top in TOPS:
         assert parse_topology(format_topology(top)) == top
