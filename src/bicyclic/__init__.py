@@ -6,15 +6,16 @@ neighborhood blocks, progression topologies, and a decision procedure for
 continuity of shifts and of multiplication.  Everything is integer-exact;
 bounded searches say so in their verdicts.
 
-Only the `element` and `symset` layers load with the package.  The names
-of `families`, `topology` and `continuity` load their module on first
-access (PEP 562) and are then bound here, so a command that multiplies
-two elements does not pay for the layers it never uses.  `symset` has to
-load eagerly: it names both a submodule and a function re-exported here,
-and the import system binds the submodule over the function the first
-time the submodule loads.
+Only the `element` layer loads with the package.  The names of the other
+layers load their module on first access (PEP 562) and are then bound
+here, so a command that multiplies two elements does not pay for the
+layers it never uses.  `symset` names both a submodule and a function
+re-exported here, and the import system binds each submodule on its
+package when it loads; the package's module class ignores that one
+binding, so `bicyclic.symset` is the function however its module loaded.
 """
 
+import sys
 from importlib import import_module
 
 # every public name, by the layer that defines it
@@ -54,7 +55,7 @@ _LAYERS = {
         "equation_replay", "EquationReplay",
     ),
 }
-_EAGER = ("element", "symset")
+_EAGER = ("element",)
 _LAZY = {name: layer for layer, names in _LAYERS.items() if layer not in _EAGER for name in names}
 
 for _layer in _EAGER:
@@ -65,6 +66,17 @@ del _layer, _module
 __version__ = "0.1.0"
 
 __all__ = [*(name for names in _LAYERS.values() for name in names), "__version__"]
+
+
+class _Package(type(sys)):
+    """The package's module type: it drops the import system's binding of the submodule `symset`."""
+
+    def __setattr__(self, name, value):
+        if name != "symset" or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name):

@@ -8,15 +8,15 @@ suite that ran and failed, 2 for unusable input or violated
 preconditions, and 141 (128 + SIGPIPE) when the reader of the output
 closed the pipe before it was written.
 
-Beyond `element` and `symset`, each command imports the layers it uses
-inside its handler, so a process compiles only the modules its command
-needs; the verification suites live in `verify`.
+Beyond `element`, each command imports the layers it uses inside its
+handler, and `json` only for --format json, so a process compiles only
+the modules its command needs: the element commands load no `symset`
+and no `dataclasses`.  The verification suites live in `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -35,15 +35,6 @@ from .element import (
     solve_left,
     solve_right,
     word_of,
-)
-from .symset import (
-    format_symset,
-    left_image,
-    parse_symset,
-    product,
-    right_image,
-    subset,
-    symset_to_records,
 )
 
 DEFAULT_MAX_EXPONENT = 10**6
@@ -76,6 +67,8 @@ def _element_arg(text: str, cap: int) -> BicyclicElement:
 
 
 def _symset_arg(text: str, cap: int):
+    from .symset import parse_symset
+
     return parse_symset(_check_digits(text, cap, "set"))
 
 
@@ -118,6 +111,12 @@ def _side_arg(text: str):
 
 def _edict(e: BicyclicElement) -> dict:
     return {"k": e.k, "l": e.l, "text": format_element(e)}
+
+
+def _set_result(s):
+    from .symset import format_symset, symset_to_records
+
+    return {"set": symset_to_records(s), "text": format_symset(s)}, format_symset(s), 0
 
 
 def _verdict_dict(v) -> dict:
@@ -298,25 +297,28 @@ def _cmd_nbhd(args):
 
     top = parse_topology(args.topology, cap=args.max_exponent)
     x = _element_arg(args.element, args.max_exponent)
-    s = basic_nbhd(top, x, _index_arg(top, args.index, "index"))
-    return {"set": symset_to_records(s), "text": format_symset(s)}, format_symset(s), 0
+    return _set_result(basic_nbhd(top, x, _index_arg(top, args.index, "index")))
 
 
 def _cmd_image(args):
+    from .symset import left_image, right_image
+
     s = _element_arg(args.element, args.max_exponent)
     sets = _symset_arg(args.set, args.max_exponent)
-    out = left_image(s, sets) if args.side == "left" else right_image(sets, s)
-    return {"set": symset_to_records(out), "text": format_symset(out)}, format_symset(out), 0
+    return _set_result(left_image(s, sets) if args.side == "left" else right_image(sets, s))
 
 
 def _cmd_product(args):
+    from .symset import product
+
     a = _symset_arg(args.left, args.max_exponent)
     b = _symset_arg(args.right, args.max_exponent)
-    out = product(a, b)
-    return {"set": symset_to_records(out), "text": format_symset(out)}, format_symset(out), 0
+    return _set_result(product(a, b))
 
 
 def _cmd_subset(args):
+    from .symset import subset
+
     a = _symset_arg(args.left, args.max_exponent)
     b = _symset_arg(args.right, args.max_exponent)
     w = subset(a, b)
@@ -556,9 +558,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = json.dumps(payload, sort_keys=True) if args.format == "json" else text
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, sort_keys=True)
     try:
-        print(out)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left (say `| head`): send what is still buffered to

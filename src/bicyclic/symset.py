@@ -26,11 +26,10 @@ since every topology hands out same-orientation tails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, inf, lcm
 from typing import Iterable, Optional, Union
 
-from .element import BicyclicElement, invert, multiply
+from .element import BicyclicElement, _record, invert, multiply
 
 __all__ = [
     "Single",
@@ -70,12 +69,12 @@ def _check_uint(value, name):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Single:
     element: BicyclicElement
 
 
-@dataclass(frozen=True)
+@_record
 class Tail:
     """A progression along `line` on its subclass's axis; a RowTail never equals a ColTail."""
 
@@ -109,7 +108,7 @@ _TAIL = (RowTail, ColTail)  # the tail class of each axis
 Atom = Union[Single, RowTail, ColTail]
 
 
-@dataclass(frozen=True)
+@_record
 class SymSet:
     atoms: tuple
 
@@ -272,7 +271,7 @@ def canonicalize(s: SymSet) -> SymSet:
     """Deterministic normal form: dedupe, drop atoms absorbed by another, sort.
 
     Atoms are deduplicated by `_atom_key`, whose plain tuple hashes in C
-    where the dataclass hash is a Python method (two nested ones for a
+    where the record hash is a Python method (two nested ones for a
     Single).  The
     key is injective: its first entry names the atom's kind and the other
     three are all of that kind's fields, so two atoms share a key exactly
@@ -320,7 +319,7 @@ def union(*sets: SymSet) -> SymSet:
 # --- subset with certificate --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class SubsetWitness:
     """Outcome of an exact subset test.
 

@@ -22,11 +22,10 @@ push them through translations and products exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .element import BicyclicElement
+from .element import BicyclicElement, _record
 from .families import (
     CMinus,
     CPlus,
@@ -67,12 +66,12 @@ class TopologyDescriptor:
     """Base marker for the topology descriptors below."""
 
 
-@dataclass(frozen=True)
+@_record
 class Discrete(TopologyDescriptor):
     carrier_desc: SetDescriptor
 
 
-@dataclass(frozen=True)
+@_record
 class _PAdic(TopologyDescriptor):
     """Progressions of step p^idx along the lines of the class's `axis`."""
 
@@ -90,7 +89,7 @@ class PAdicMinus(_PAdic):
     axis = 1  # columns of the lower half
 
 
-@dataclass(frozen=True)
+@_record
 class WindowPAdic(TopologyDescriptor):
     p: int
     m: int

@@ -1,9 +1,10 @@
 """Verification suites behind `bicyclic verify <suite>`.
 
 Each suite replays a bundle of exact checks against the library and
-returns a list of (label, passed) pairs.  The brute-force oracles scan a
-fixed window of elements with `multiply` alone, independent of the
-closed-form division in `element`.
+returns a list of (label, passed) pairs.  The brute-force division oracle
+scans a fixed window of exponent pairs with its own copy of the product
+law, independent of `multiply` and of the closed-form division in
+`element`.
 """
 
 from __future__ import annotations
@@ -60,16 +61,25 @@ def _brute_division(a, side, size, targets):
     """Brute-force division by `a` over the size x size window, one scan per factor.
 
     Maps each target c to the window elements X with a*X = c (side "left")
-    or X*a = c (side "right").
+    or X*a = c (side "right").  The scan multiplies exponent pairs by its
+    own copy of the three-case law, so it shares no code with `multiply`,
+    and builds an element only for a hit.
     """
-    found = {c: set() for c in targets}
+    found = {(c.k, c.l): set() for c in targets}
     for m in range(size):
         for n in range(size):
-            x = BicyclicElement(m, n)
-            c = multiply(a, x) if side == "left" else multiply(x, a)
-            if c in found:
-                found[c].add(x)
-    return found
+            # b^k a^l * b^p a^q with X = b^m a^n on the scanned side
+            k, l, p, q = (a.k, a.l, m, n) if side == "left" else (m, n, a.k, a.l)
+            if l < p:
+                c = (k - l + p, q)
+            elif l == p:
+                c = (k, q)
+            else:
+                c = (k, l - p + q)
+            hits = found.get(c)
+            if hits is not None:
+                hits.add(BicyclicElement(m, n))
+    return {c: found[c.k, c.l] for c in targets}
 
 
 def _suite_core_oracle(bound):

@@ -106,6 +106,11 @@ def test_thm1_nbhd(capsys):
     assert out.splitlines()[0] == "i0=3 size=9"
 
 
+def test_thm1_nbhd_rejects_a_generator_above_the_bound(capsys):
+    code, out, err = run(capsys, "thm1-nbhd", "gen:b^0a^1,b^500a^0", "b^0a^1")
+    assert (code, out, err) == (2, "", "error: closure bound must cover the generators\n")
+
+
 def test_nbhd(capsys):
     code, out, _ = run(capsys, "nbhd", "padic+:2", "b^1a^3", "2")
     assert code == 0 and out == "{b^1 a^(3+4t)}\n"
@@ -200,6 +205,32 @@ def test_verify_prop2_fourth_case_rejects_a_coarse_modulus(capsys, monkeypatch):
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == [
         "FAIL window:2:0:2 bound=6: fourth-case product sets sit inside the target neighborhood"
+    ]
+
+
+def test_brute_division_matches_a_scan_by_multiply():
+    from bicyclic import BicyclicElement as E, multiply
+    from bicyclic.verify import _brute_division
+
+    small = [E(k, l) for k in range(4) for l in range(4)]
+    window = [E(m, n) for m in range(12) for n in range(12)]
+    for a in small:
+        assert _brute_division(a, "left", 12, small) == {
+            c: {x for x in window if multiply(a, x) == c} for c in small
+        }
+        assert _brute_division(a, "right", 12, small) == {
+            c: {x for x in window if multiply(x, a) == c} for c in small
+        }
+
+
+def test_verify_thm2_names_a_division_that_disagrees_with_the_brute_scan(capsys, monkeypatch):
+    from bicyclic import verify
+
+    monkeypatch.setattr(verify, "solve_right", lambda c, a: frozenset())
+    code, out, _ = run(capsys, "verify", "thm2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL left and right division match a brute scan over a 30x30 window"
     ]
 
 
@@ -1377,9 +1408,11 @@ def test_closed_pipe_exits_141_without_a_traceback():
 
 # --- what each command loads ----------------------------------------------------------------------
 
-_BASE = ["bicyclic", "bicyclic.cli", "bicyclic.element", "bicyclic.symset"]
+_BASE = ["bicyclic", "bicyclic.cli", "bicyclic.element"]
+_SYMSET = _BASE + ["bicyclic.symset"]
 _FAMILIES = _BASE + ["bicyclic.families"]
-_CONTINUITY = _FAMILIES + ["bicyclic.continuity", "bicyclic.topology"]
+_TOPOLOGY = _FAMILIES + ["bicyclic.symset", "bicyclic.topology"]
+_CONTINUITY = _TOPOLOGY + ["bicyclic.continuity"]
 
 _FOOTPRINT = [
     (["mul", "b^2a^3", "b^5a^1"], _BASE),
@@ -1388,15 +1421,15 @@ _FOOTPRINT = [
     (["leq", "b^5a^3", "b^4a^2"], _BASE),
     (["solve", "--side", "left", "b^0a^1", "b^5a^0"], _BASE),
     (["reduce", "bbabaa"], _BASE),
-    (["image", "--side", "left", "b^2a^1", "{b^3 a^(5+4t)}"], _BASE),
-    (["product", "{b^0 a^(0+4t)}", "{b^0 a^(0+9t)}"], _BASE),
-    (["subset", "{b^1 a^(4+8t)}", "{b^1 a^(0+2t)}"], _BASE),
+    (["image", "--side", "left", "b^2a^1", "{b^3 a^(5+4t)}"], _SYMSET),
+    (["product", "{b^0 a^(0+4t)}", "{b^0 a^(0+9t)}"], _SYMSET),
+    (["subset", "{b^1 a^(4+8t)}", "{b^1 a^(0+2t)}"], _SYMSET),
     (["enumerate", "cplus-window:1:2", "--bound", "2"], _FAMILIES),
     (["closure", "b^2a^2", "--bound", "4"], _FAMILIES),
     (["census", "full", "--bound", "5"], _FAMILIES),
     (["thm1-nbhd", "full", "b^1a^2", "--bound", "10"], _FAMILIES),
     (["prop1-family", "b^1a^3", "b^3a^0", "--count", "2"], _FAMILIES),
-    (["nbhd", "padic+:2", "b^1a^3", "2"], _FAMILIES + ["bicyclic.topology"]),
+    (["nbhd", "padic+:2", "b^1a^3", "2"], _TOPOLOGY),
     (["check-shift", "padic+:2", "--side", "left", "b^0a^1", "b^0a^0", "2"], _CONTINUITY),
     (["check-joint", "window:2:0:2", "b^0a^3", "b^1a^4", "1"], _CONTINUITY),
     (["find-discontinuity", "padic+:2", "--side", "left", "--bound", "2"], _CONTINUITY),
@@ -1406,16 +1439,22 @@ _FOOTPRINT = [
 
 @pytest.mark.parametrize("argv, loaded", _FOOTPRINT, ids=[argv[0] for argv, _ in _FOOTPRINT])
 def test_command_loads_only_the_layers_it_uses(argv, loaded):
+    """The bicyclic modules a command loads; the element and set commands also skip `dataclasses`,
+    `inspect` and, in text form, `json`."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from bicyclic.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('bicyclic'))))\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('bicyclic')))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == f"0 {json.dumps(sorted(loaded))}\n"
+    layers, stdlib = r.stdout.splitlines()
+    assert layers == f"0 {sorted(loaded)}"
+    if loaded in (_BASE, _SYMSET):
+        assert stdlib == "[]"
 
 
 def test_suite_names_match_the_suite_table():

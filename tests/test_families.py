@@ -427,6 +427,13 @@ def test_neighborhood_requires_membership():
         finite_neighborhood(CPlus(), E(5, 2), 12)
 
 
+def test_neighborhood_checks_the_generator_bound_before_any_closure():
+    desc = FinitelyGenerated((E(0, 1), E(500, 0)))
+    with pytest.raises(ValueError, match="closure bound must cover the generators"):
+        finite_neighborhood(desc, E(0, 1), 12)
+    assert desc._views == {}  # no closure was built, at bound 500 or at 12
+
+
 # --- window shift and inversion ------------------------------------------------------
 
 
