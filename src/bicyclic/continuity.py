@@ -13,18 +13,20 @@ Because basic neighborhoods only refine as the index grows (the base point
 never moves, only the progression step changes), each question is
 monotone in k.
 
-The least k that can work is known before any test.  A point's
-neighborhoods do not depend on the index, so when every source
-neighborhood is a point the candidate is k0 = 1.  When a source
-neighborhood is a tail of step p^k, its image contains an infinite
+The least k that can work is known before any test.  Every basic
+neighborhood is one atom, so the engine works on the source atoms
+themselves, never on one-atom sets.  A point atom does not depend on the
+index, so when both source atoms are points the candidate is k0 = 1.
+When a source atom is a tail of step p^k, its image contains an infinite
 slope-one tail of step p^k, which fits inside a target of step p^t only
 when p^t divides p^k; so the candidate is k0 = t.  A cell is therefore
 decided at k0, and when the image there fits, k0 is the minimal modulus.
-The target is a basic neighborhood, a single atom, so the image fits
-exactly when each atom that the image builders emit at k0 does: a point
-that the target has as a member, or a tail on the target's line that the
-target's progression holds.  No canonical form and no general subset test
-is needed for that.
+The target is a single atom too, so the image fits exactly when each atom
+that the image builders emit at k0 does: a point that the target has as a
+member, or a tail on the target's line that the target's progression
+holds.  A right image reads s and its source atom in place, on axis 1 of
+the left image builder, so nothing is transposed.  No set, no canonical
+form and no general subset test is needed for that.
 
 Failure is certified structurally, not by giving up: the image of a
 progression tail contains a far tail, the image of its high end and the
@@ -49,14 +51,14 @@ from .symset import (
     SymSet,
     _atoms_within,
     _left_image_atom,
-    _product_atoms,
+    _pair_atoms,
     _right_image_atom,
     left_image,
     product,
     right_image,
     subset,
 )
-from .topology import TopologyDescriptor, WindowPAdic, basic_nbhd, carrier, is_isolated
+from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, basic_nbhd, carrier, is_isolated
 
 __all__ = [
     "ShiftSide",
@@ -187,34 +189,33 @@ def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(top, target, t, x, nx, y, ny, witness_bound):
-    """Decide whether the product of nx (holding x) and ny (holding y) fits the target.
+def _decide(top, target, t, x, ax, y, ay, witness_bound):
+    """Decide whether the product of atoms ax (holding x) and ay (holding y) fits the target atom.
 
-    This is the engine of every cell.  nx and ny are the source factors
-    built at index t.  A point factor, the shifting element's {s} or an
+    This is the engine of every cell.  ax and ay are the source atoms
+    built at index t.  A point atom, the shifting element's {s} or an
     isolated point's neighborhood, is the same at every index, so k0 = 1
-    when both factors are points and k0 = t otherwise (see the module
-    docstring).  The atoms that `_product_atoms` emits at k0, each tested
-    against the target's only atom (`_atoms_within`), decide exactly
-    whether the image fits.  Returns the verdict and, for a continuous
-    cell, those atoms.  Otherwise the structural reason certifies the
-    failure, with witnesses read off the products at k = 1..witness_bound
-    by exact subset tests.
+    when both are points and k0 = t otherwise (see the module docstring).
+    The atoms that `_pair_atoms` emits at k0, each tested against the
+    target atom (`_atoms_within`), decide exactly whether the image fits.
+    Returns the verdict and, for a continuous cell, those atoms.  Only a
+    failure wraps atoms in SymSets: the structural reason certifies it, with
+    witnesses read off the products at k = 1..witness_bound by exact subset tests.
     """
-    ax, ay = nx.atoms[0], ny.atoms[0]
-    image = _product_atoms(nx, ny)
-    if _atoms_within(image, target.atoms[0]):
+    image = _pair_atoms(ax, ay)
+    if _atoms_within(image, target):
         k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
         return ContinuousAt(((t, k0),)), image
+    target = SymSet((target,))
     reason = _structural_reason(_far_tails(x, ax, y, ay), target)
     if reason is None:
         # the _structural_reason docstring proves that this cannot happen
         raise RuntimeError("the image escapes the target at k0 without a structural reason")
 
-    def at(z, nz, k):  # a point factor is its own neighborhood at every index
-        return nz if isinstance(nz.atoms[0], Single) else basic_nbhd(top, z, k)
+    def at(z, az, k):  # a point atom is its own neighborhood at every index
+        return SymSet((az,)) if isinstance(az, Single) else basic_nbhd(top, z, k)
 
-    images = lambda k: product(at(x, nx, k), at(y, ny, k))
+    images = lambda k: product(at(x, ax, k), at(y, ay, k))
     return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason), None
 
 
@@ -231,14 +232,15 @@ def check_shift_at(
 ):
     """Decide continuity of the shift by s at the point x for target index t.
 
-    A shift is the product with the point {s}: the engine gets {s} as the
-    fixed factor and the neighborhood of x, built at index t, as the other.
+    A shift is the product with the point {s}: the engine gets the atom
+    {s} as the fixed factor and the neighborhood atom of x, built at index
+    t, as the other.
     """
     if not contains(carrier(top), s):
         raise ValueError(f"shift element {s} is outside the carrier")
-    target = basic_nbhd(top, apply_shift(side, s, x), t)  # also validates the image point
-    source = basic_nbhd(top, x, t)  # also validates x
-    point = SymSet((Single(s),))
+    target = _nbhd_atom(top, apply_shift(side, s, x), t)  # also validates the image point
+    source = _nbhd_atom(top, x, t)  # also validates x
+    point = Single(s)
     if side is ShiftSide.LEFT:
         return _decide(top, target, t, s, point, x, source, witness_bound)[0]
     return _decide(top, target, t, x, source, s, point, witness_bound)[0]
@@ -305,10 +307,10 @@ def check_joint_at(
 
 
 def _joint_decision(top, x, y, t, witness_bound):
-    """check_joint_at's verdict, its target and the image's atoms at the modulus (None unless continuous)."""
-    target = basic_nbhd(top, multiply(x, y), t)
-    nx, ny = basic_nbhd(top, x, t), basic_nbhd(top, y, t)
-    verdict, image = _decide(top, target, t, x, nx, y, ny, witness_bound)
+    """check_joint_at's verdict, its target atom and the image's atoms at the modulus (None unless continuous)."""
+    target = _nbhd_atom(top, multiply(x, y), t)
+    ax, ay = _nbhd_atom(top, x, t), _nbhd_atom(top, y, t)
+    verdict, image = _decide(top, target, t, x, ax, y, ay, witness_bound)
     return verdict, target, image
 
 
@@ -319,7 +321,7 @@ def _joint_with_equality(top, x, y, t):
     is inside the union of its atoms, in whatever order they come.
     """
     verdict, target, image = _joint_decision(top, x, y, t, DEFAULT_WITNESS_BOUND)
-    return verdict, None if image is None else subset(target, SymSet(tuple(image))).holds
+    return verdict, None if image is None else subset(SymSet((target,)), SymSet(tuple(image))).holds
 
 
 def _isolation_case(top, x, y) -> str:

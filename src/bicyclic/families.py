@@ -483,17 +483,16 @@ def finite_neighborhood(desc: SetDescriptor, x: BicyclicElement, bound: int) -> 
     the window comes from a window element.  Three checks run before
     returning: the block equals { y in S : y.k < i0 and y.l < i0 }, x lies
     in it, and both translation maps are retractions of S on the window.
-    A generated family's bound must cover its generators, which is checked
-    first: the membership test would build a closure at the largest of them.
+    A generated family's bound must cover its generators, and then reach
+    above x, before the membership test, which would build a closure at the
+    largest of them and of x; so an unreachable bound wins over a non-member.
     """
     if isinstance(desc, FinitelyGenerated):
         _require_cover(desc.gens, bound)
+    if bound < max(x.k, x.l) + 1:
+        raise NoIsolatingIdempotentError(f"bound {bound} cannot reach an idempotent above {x}")
     if not contains(desc, x, bound):
         raise ValueError(f"{x} is not a member of {format_descriptor(desc)}")
-    if bound < max(x.k, x.l) + 1:
-        raise NoIsolatingIdempotentError(
-            f"bound {bound} cannot reach an idempotent above {x}"
-        )
     i0 = None
     for n in range(max(x.k, x.l) + 1, bound + 1):
         if contains(desc, BicyclicElement(n, n), bound):

@@ -520,33 +520,34 @@ def _element(axis: int, line: int, value: int) -> BicyclicElement:
 
 
 def _left_image_atom(s: BicyclicElement, atom: Atom, axis: int = 0) -> list:
-    """The atoms of { s * x : x in atom }, transposed when axis is 1.
+    """The atoms of { s * x : x in atom }, or of { x * s : x in atom } when axis is 1.
 
-    Axis 1 builds each output atom in its transposed orientation directly,
-    which is what `_right_image_atom` needs, so no output atom is built
-    twice.  The tail, when there is one, is the last atom.
+    As x * s = inv(inv(s) * inv(x)), axis 1 is the left image by inv(s) of
+    the transposed atom, transposed back, read in place: s as (s.l, s.k)
+    and the atom's axis against 1, each output atom built once in its final
+    orientation.  The tail, when there is one, is the last atom.
     """
     if isinstance(atom, Single):
-        z = multiply(s, atom.element)
-        return [Single(z if axis == 0 else invert(z))]
+        return [Single(multiply(s, atom.element) if axis == 0 else multiply(atom.element, s))]
+    sk, sl = (s.k, s.l) if axis == 0 else (s.l, s.k)
     line = atom.line
-    if atom.axis == 0:
-        # the comparison s.l vs the row is the same for every member
-        if s.l < line:
-            return [_TAIL[axis](s.k - s.l + line, atom.base, atom.step)]
-        if s.l == line:
-            return [_TAIL[axis](s.k, atom.base, atom.step)]
-        return [_TAIL[axis](s.k, s.l - line + atom.base, atom.step)]
-    # a column: the comparison s.l vs the running first exponent splits the tail
+    if atom.axis == axis:
+        # the comparison sl vs the line is the same for every member
+        if sl < line:
+            return [_TAIL[axis](sk - sl + line, atom.base, atom.step)]
+        if sl == line:
+            return [_TAIL[axis](sk, atom.base, atom.step)]
+        return [_TAIL[axis](sk, sl - line + atom.base, atom.step)]
+    # a crossing tail: the comparison sl vs the running free exponent splits it
     out = []
     value = atom.base
-    while value < s.l:  # finitely many members below s.l collapse to points
-        out.append(Single(_element(axis, s.k, s.l - value + line)))
+    while value < sl:  # finitely many members below sl collapse to points
+        out.append(Single(_element(axis, sk, sl - value + line)))
         value += atom.step
-    if value == s.l:
-        out.append(Single(_element(axis, s.k, line)))
-    high = _first_value_above(atom.base, atom.step, s.l)
-    out.append(_TAIL[1 - axis](line, s.k - s.l + high, atom.step))
+    if value == sl:
+        out.append(Single(_element(axis, sk, line)))
+    high = _first_value_above(atom.base, atom.step, sl)
+    out.append(_TAIL[1 - axis](line, sk - sl + high, atom.step))
     return out
 
 
@@ -556,10 +557,8 @@ def left_image(s: BicyclicElement, sets: SymSet) -> SymSet:
 
 
 def _right_image_atom(atom: Atom, s: BicyclicElement) -> list:
-    # inversion is an anti-isomorphism, x * s = inv(inv(s) * inv(x)): the
-    # right image is the left image by inv(s) of the transposed atom, built
-    # transposed back (axis 1); only the input atom is transposed
-    return _left_image_atom(invert(s), _transpose_atom(atom), 1)
+    """The atoms of { x * s : x in atom }: the left image builder read at axis 1."""
+    return _left_image_atom(s, atom, 1)
 
 
 def right_image(sets: SymSet, s: BicyclicElement) -> SymSet:
@@ -593,8 +592,8 @@ def _semigroup_atoms(row: int, base: int, d1: int, d2: int, axis: int = 0) -> li
     return atoms
 
 
-def _product_row_row(x: RowTail, y: RowTail, axis: int = 0) -> list:
-    """The atoms of x * y, transposed when axis is 1; the far tail is last."""
+def _product_row_row(x: Tail, y: Tail, axis: int = 0) -> list:
+    """The atoms of x * y, read as rows and transposed when axis is 1; the far tail is last."""
     atoms = []
     value = x.base
     while value < y.line:  # low members of x act by shifting into y's row copy
@@ -630,25 +629,30 @@ def product(a: SymSet, b: SymSet) -> SymSet:
     return canonicalize(SymSet(tuple(_product_atoms(a, b))))
 
 
+def _pair_atoms(x: Atom, y: Atom) -> list:
+    """The atoms of { u * v : u in x, v in y }, before the canonical form."""
+    if isinstance(x, Single):
+        return _left_image_atom(x.element, y)
+    if isinstance(y, Single):
+        return _right_image_atom(x, y.element)
+    if x.axis == 0:
+        return _product_row_row(x, y) if y.axis == 0 else _product_row_col(x, y)
+    if y.axis == 1:
+        # x * y = inv(inv(y) * inv(x)): the row x row law on the two columns,
+        # built transposed back (axis 1)
+        return _product_row_row(y, x, 1)
+    raise UnrepresentableProductError(
+        "ColTail * RowTail is a two-dimensional set and has no "
+        "finite representation in this atom vocabulary"
+    )
+
+
 def _product_atoms(a: SymSet, b: SymSet) -> list:
     """The atoms of the product of a and b, before the canonical form."""
     atoms = []
     for x in a.atoms:
         for y in b.atoms:
-            if isinstance(x, Single):
-                atoms.extend(_left_image_atom(x.element, y))
-            elif isinstance(y, Single):
-                atoms.extend(_right_image_atom(x, y.element))
-            elif x.axis == 0:
-                atoms.extend(_product_row_row(x, y) if y.axis == 0 else _product_row_col(x, y))
-            elif y.axis == 1:
-                # x * y = inv(inv(y) * inv(x)), built transposed back (axis 1)
-                atoms.extend(_product_row_row(_transpose_atom(y), _transpose_atom(x), 1))
-            else:
-                raise UnrepresentableProductError(
-                    "ColTail * RowTail is a two-dimensional set and has no "
-                    "finite representation in this atom vocabulary"
-                )
+            atoms.extend(_pair_atoms(x, y))
     return atoms
 
 

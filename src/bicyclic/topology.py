@@ -70,6 +70,9 @@ class TopologyDescriptor:
 class Discrete(TopologyDescriptor):
     carrier_desc: SetDescriptor
 
+    def __post_init__(self):
+        object.__setattr__(self, "_carrier", self.carrier_desc)
+
 
 @_record
 class _PAdic(TopologyDescriptor):
@@ -79,6 +82,7 @@ class _PAdic(TopologyDescriptor):
 
     def __post_init__(self):
         _require_prime(self.p)
+        object.__setattr__(self, "_carrier", CMinus() if self.axis else CPlus())
 
 
 class PAdicPlus(_PAdic):
@@ -101,40 +105,38 @@ class WindowPAdic(TopologyDescriptor):
         _require_prime(self.p)
         if self.m < 0 or self.n < self.m:
             raise ValueError(f"window needs 0 <= m <= n, got [{self.m}, {self.n}]")
+        object.__setattr__(self, "_carrier", CPlusWindow(self.m, self.n))
 
 
 def carrier(top: TopologyDescriptor) -> SetDescriptor:
-    if isinstance(top, Discrete):
-        return top.carrier_desc
-    if isinstance(top, _PAdic):
-        return CMinus() if top.axis else CPlus()
-    if isinstance(top, WindowPAdic):
-        return CPlusWindow(top.m, top.n)
-    raise TypeError(f"unknown topology {top!r}")
+    """The family the topology lives on, built once per descriptor when it is made."""
+    try:
+        return top._carrier  # outside eq, hash and repr
+    except AttributeError:
+        raise TypeError(f"unknown topology {top!r}") from None
 
 
-def _check_point(top: TopologyDescriptor, x: BicyclicElement):
-    if not contains(carrier(top), x):
-        raise CarrierError(
-            f"{x} is not in the carrier {format_descriptor(carrier(top))}"
-        )
+def _nbhd_atom(top: TopologyDescriptor, x: BicyclicElement, idx: int):
+    """The one atom of the idx-th basic neighborhood of x."""
+    if not isinstance(idx, int) or idx < 1:
+        raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
+    if not contains(carrier(top), x):  # an unknown topology raises TypeError here
+        raise CarrierError(f"{x} is not in the carrier {format_descriptor(carrier(top))}")
+    if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
+        return Single(x)
+    # the progression through x along its row, or its column for PAdicMinus
+    line, base = (x.k, x.l) if top.axis == 0 else (x.l, x.k)
+    return _TAIL[top.axis](line, base, top.p**idx)
 
 
 def is_isolated(top: TopologyDescriptor, x: BicyclicElement) -> bool:
     """Whether the basic neighborhoods of x are the point itself."""
-    return isinstance(basic_nbhd(top, x, 1).atoms[0], Single)
+    return isinstance(_nbhd_atom(top, x, 1), Single)
 
 
 def basic_nbhd(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> SymSet:
     """The idx-th basic neighborhood of x, as a one-atom SymSet."""
-    if not isinstance(idx, int) or idx < 1:
-        raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
-    _check_point(top, x)  # an unknown topology raises TypeError here
-    if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
-        return SymSet((Single(x),))
-    # the progression through x along its row, or its column for PAdicMinus
-    line, base = (x.k, x.l) if top.axis == 0 else (x.l, x.k)
-    return SymSet((_TAIL[top.axis](line, base, top.p**idx),))
+    return SymSet((_nbhd_atom(top, x, idx),))
 
 
 def separation_index(

@@ -111,6 +111,30 @@ def test_thm1_nbhd_rejects_a_generator_above_the_bound(capsys):
     assert (code, out, err) == (2, "", "error: closure bound must cover the generators\n")
 
 
+def test_thm1_nbhd_rejects_a_point_above_the_bound_before_any_closure(capsys, monkeypatch):
+    # the reach check comes before membership, which would build the closure at 2,000
+    from bicyclic import families
+
+    descriptors, finite_neighborhood = [], families.finite_neighborhood
+
+    def recording(desc, x, bound):
+        descriptors.append(desc)
+        return finite_neighborhood(desc, x, bound)
+
+    monkeypatch.setattr(families, "finite_neighborhood", recording)
+    code, out, err = run(capsys, "thm1-nbhd", "gen:b^0a^1,b^1a^0", "b^0a^2000", "--bound", "12")
+    assert (code, out, err) == (2, "", "error: bound 12 cannot reach an idempotent above b^0a^2000\n")
+    assert [desc._views for desc in descriptors] == [{}]
+
+
+def test_thm1_nbhd_reach_is_checked_before_membership(capsys):
+    # a non-member under an unreachable bound gets the reach message
+    code, out, err = run(capsys, "thm1-nbhd", "cplus-row:3", "b^0a^5", "--bound", "2")
+    assert (code, out, err) == (2, "", "error: bound 2 cannot reach an idempotent above b^0a^5\n")
+    code, out, err = run(capsys, "thm1-nbhd", "cplus-row:3", "b^0a^5", "--bound", "6")
+    assert (code, out, err) == (2, "", "error: b^0a^5 is not a member of cplus-row:3\n")
+
+
 def test_nbhd(capsys):
     code, out, _ = run(capsys, "nbhd", "padic+:2", "b^1a^3", "2")
     assert code == 0 and out == "{b^1 a^(3+4t)}\n"

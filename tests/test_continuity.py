@@ -1,12 +1,15 @@
 """Continuity decision procedure: verdicts, certificates, known sweep results."""
 
 import hashlib
+import importlib
+import random
 
 import pytest
 
 from bicyclic import (
     BicyclicElement,
     CarrierError,
+    ColTail,
     ContinuousAt,
     DiscontinuousAt,
     Discrete,
@@ -36,6 +39,7 @@ from bicyclic import (
     multiply,
     parse_topology,
     product,
+    right_image,
     shift_image,
     subset,
     window_joint_report,
@@ -45,6 +49,7 @@ from bicyclic.symset import _atoms_within, _left_image_atom, _product_atoms, _ri
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
+symset_module = importlib.import_module("bicyclic.symset")
 
 
 def _pts(top, bound):
@@ -538,6 +543,51 @@ def test_subset_calls_per_cell(monkeypatch):
         seen.add((type(verdict).__name__, modulus))
     # the sweep exercises point cells (k0 = 1), tail cells (k0 = t) and certificates
     assert {("ContinuousAt", 1), ("ContinuousAt", 4), ("DiscontinuousAt", None)} <= seen
+
+
+def test_continuous_cells_build_no_throwaway_records(monkeypatch):
+    # a continuous cell is decided on bare atoms: it wraps none in a SymSet,
+    # a right image or a col x col product transposes nothing, and the
+    # carrier is the descriptor's own, not a fresh one per point check
+    sets, transposes = [], []
+    init, transpose_atom = SymSet.__init__, symset_module._transpose_atom
+
+    def counting_init(self, *args, **kwargs):
+        sets.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_transpose(atom):
+        transposes.append(atom)
+        return transpose_atom(atom)
+
+    monkeypatch.setattr(SymSet, "__init__", counting_init)
+    monkeypatch.setattr(symset_module, "_transpose_atom", counting_transpose)
+    rng = random.Random(20)
+    decided = {}
+    for text in ("padic+:2", "padic-:3", "window:3:1:3"):
+        top = parse_topology(text)
+        assert carrier(top) is carrier(top)
+        pts = _pts(top, 5)
+        for _ in range(150):
+            side = rng.choice([LEFT, RIGHT, None])
+            a, b, t = rng.choice(pts), rng.choice(pts), rng.randint(1, 4)
+            sets.clear()
+            if side is None:
+                verdict = check_joint_at(top, a, b, t)
+            else:
+                verdict = check_shift_at(top, side, a, b, t)
+            if isinstance(verdict, ContinuousAt):
+                assert sets == [], (text, side, a, b, t)
+                tails = sum(not is_isolated(top, z) for z in ((b,) if side else (a, b)))
+                decided[text, side, tails] = decided.get((text, side, tails), 0) + 1
+    assert transposes == []
+    # right shifts of tails, and joint cells of two columns (padic-), were decided
+    assert decided[("padic+:2", RIGHT, 1)] and decided[("padic-:3", RIGHT, 1)]
+    assert decided[("padic-:3", None, 2)] and decided[("window:3:1:3", None, 2)]
+    # the public builders share those atom builders, so they transpose nothing either
+    right_image(SymSet((RowTail(1, 0, 2),)), E(3, 1))
+    product(SymSet((ColTail(2, 1, 3),)), SymSet((ColTail(0, 4, 9),)))
+    assert transposes == []
 
 
 # --- witness scan ------------------------------------------------------------------------

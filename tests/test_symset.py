@@ -534,8 +534,9 @@ def _image_case(rng):
     """An atom and an element s, with the kind of case the image falls in.
 
     A row tail's right image splits off the members below s.k as points:
-    none, one or about 200 of them.  A column tail's is one tail, and s.k
-    falls below, at or above its column.
+    none, one or about 200 of them, or only s.k itself when it is the base.
+    A column tail's is one tail, and s.k falls below, at or above its
+    column.
     """
     kind = rng.choice(["single", "row", "col"])
     base, step = rng.randint(0, 30), rng.randint(1, 9)
@@ -543,8 +544,10 @@ def _image_case(rng):
     if kind == "single":
         return Single(E(line, rng.randint(0, 40))), E(rng.randint(0, 40), l), kind
     if kind == "row":
-        split = rng.choice([0, 1, rng.randint(190, 210)])
-        if split:
+        split = rng.choice([-1, 0, 1, rng.randint(190, 210)])
+        if split < 0:
+            k = base  # the first member: no point below it
+        elif split:
             k = base + step * (split - 1) + rng.randint(1, step)
         else:
             k = rng.randint(0, base - 1) if base else 0
@@ -556,9 +559,24 @@ def _image_case(rng):
     return ColTail(col, base, step), E(k, l), ("col", (k > col) - (k < col))
 
 
+def _axis1_branch(atom, s):
+    """The branch of the in-place read at axis 1 that the right image of the atom by s takes.
+
+    s is read as (s.l, s.k), so s.k meets the atom's line or base: a column
+    is the same-axis case, and a row is split into the points below s.k,
+    one more when s.k is a member, and a tail.
+    """
+    if isinstance(atom, Single):
+        return "point"
+    if atom.axis == 1:
+        return ("same axis", (s.k > atom.line) - (s.k < atom.line))
+    return ("split", s.k > atom.base, atom_member(atom, E(atom.line, s.k)))
+
+
 def test_final_orientation_builders_match_transpose_references(monkeypatch):
     rng = random.Random(20261020)
     seen = {}
+    branches = {}
 
     def canonical(atom_list, case):
         # the all-pairs reference is quadratic: it checks every small result
@@ -583,6 +601,9 @@ def test_final_orientation_builders_match_transpose_references(monkeypatch):
         assert right_image(SymSet(atoms), s) == canonical(expected, case)
         kind = cases[0][2]
         seen[kind] = seen.get(kind, 0) + 1
+        for atom in atoms:
+            branch = _axis1_branch(atom, s)
+            branches[branch] = branches.get(branch, 0) + 1
 
     for case in range(200):
         d1, d2 = rng.randint(1, 30), rng.randint(1, 30)
@@ -599,6 +620,12 @@ def test_final_orientation_builders_match_transpose_references(monkeypatch):
     kinds = ["single", ("row", 0), ("row", 1), ("row", 190), ("col", -1), ("col", 0), ("col", 1)]
     kinds += [("col x col", "coprime"), ("col x col", "shared factor")]
     assert min(seen.get(kind, 0) for kind in kinds) > 20, seen
+    # every branch of the in-place read: a point, a column with s.k below, at
+    # and above its line, and a row split below s.k, with and without any
+    # point below it and with and without s.k as a member
+    reads = ["point", ("same axis", -1), ("same axis", 0), ("same axis", 1)]
+    reads += [("split", below, at) for below in (False, True) for at in (False, True)]
+    assert min(branches.get(branch, 0) for branch in reads) > 5, branches
 
 
 # --- images -----------------------------------------------------------------------------
