@@ -65,7 +65,6 @@ __all__ = [
     "ContinuousAt",
     "DiscontinuousAt",
     "RefutedUpToBound",
-    "Verdict",
     "apply_shift",
     "shift_image",
     "check_shift_at",
@@ -121,9 +120,6 @@ class RefutedUpToBound:
     """No decider returns this; it stays exported for callers that still name the class."""
 
     probe_bound: int
-
-
-Verdict = object  # ContinuousAt or DiscontinuousAt
 
 
 def apply_shift(side: ShiftSide, s: BicyclicElement, x: BicyclicElement) -> BicyclicElement:
@@ -189,7 +185,7 @@ def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(top, target, t, x, ax, y, ay, witness_bound):
+def _decide(top, target, t, x, ax, y, ay):
     """Decide whether the product of atoms ax (holding x) and ay (holding y) fits the target atom.
 
     This is the engine of every cell.  ax and ay are the source atoms
@@ -200,7 +196,7 @@ def _decide(top, target, t, x, ax, y, ay, witness_bound):
     target atom (`_atoms_within`), decide exactly whether the image fits.
     Returns the verdict and, for a continuous cell, those atoms.  Only a
     failure wraps atoms in SymSets: the structural reason certifies it, with
-    witnesses read off the products at k = 1..witness_bound by exact subset tests.
+    witnesses read off the products at k = 1..DEFAULT_WITNESS_BOUND by exact subset tests.
     """
     image = _pair_atoms(ax, ay)
     if _atoms_within(image, target):
@@ -216,20 +212,13 @@ def _decide(top, target, t, x, ax, y, ay, witness_bound):
         return SymSet((az,)) if isinstance(az, Single) else basic_nbhd(top, z, k)
 
     images = lambda k: product(at(x, ax, k), at(y, ay, k))
-    return DiscontinuousAt(t, _witnesses(images, target, witness_bound), reason), None
+    return DiscontinuousAt(t, _witnesses(images, target, DEFAULT_WITNESS_BOUND), reason), None
 
 
 # --- shift continuity ----------------------------------------------------------
 
 
-def check_shift_at(
-    top: TopologyDescriptor,
-    side: ShiftSide,
-    s: BicyclicElement,
-    x: BicyclicElement,
-    t: int,
-    witness_bound: int = DEFAULT_WITNESS_BOUND,
-):
+def check_shift_at(top: TopologyDescriptor, side: ShiftSide, s: BicyclicElement, x: BicyclicElement, t: int):
     """Decide continuity of the shift by s at the point x for target index t.
 
     A shift is the product with the point {s}: the engine gets the atom
@@ -242,8 +231,8 @@ def check_shift_at(
     source = _nbhd_atom(top, x, t)  # also validates x
     point = Single(s)
     if side is ShiftSide.LEFT:
-        return _decide(top, target, t, s, point, x, source, witness_bound)[0]
-    return _decide(top, target, t, x, source, s, point, witness_bound)[0]
+        return _decide(top, target, t, s, point, x, source)[0]
+    return _decide(top, target, t, x, source, s, point)[0]
 
 
 @_record
@@ -291,26 +280,20 @@ def check_shift(top: TopologyDescriptor, side: ShiftSide, bound: int, t_max: int
 # --- joint continuity ------------------------------------------------------------
 
 
-def check_joint_at(
-    top: TopologyDescriptor,
-    x: BicyclicElement,
-    y: BicyclicElement,
-    t: int,
-    witness_bound: int = DEFAULT_WITNESS_BOUND,
-):
+def check_joint_at(top: TopologyDescriptor, x: BicyclicElement, y: BicyclicElement, t: int):
     """Decide joint continuity of multiplication at the pair (x, y).
 
     Both source neighborhoods are built once, at index t, and the engine
     decides their product against the neighborhood of x*y.
     """
-    return _joint_decision(top, x, y, t, witness_bound)[0]
+    return _joint_decision(top, x, y, t)[0]
 
 
-def _joint_decision(top, x, y, t, witness_bound):
+def _joint_decision(top, x, y, t):
     """check_joint_at's verdict, its target atom and the image's atoms at the modulus (None unless continuous)."""
     target = _nbhd_atom(top, multiply(x, y), t)
     ax, ay = _nbhd_atom(top, x, t), _nbhd_atom(top, y, t)
-    verdict, image = _decide(top, target, t, x, ax, y, ay, witness_bound)
+    verdict, image = _decide(top, target, t, x, ax, y, ay)
     return verdict, target, image
 
 
@@ -320,7 +303,7 @@ def _joint_with_equality(top, x, y, t):
     The image is inside the target, so it equals the target when the target
     is inside the union of its atoms, in whatever order they come.
     """
-    verdict, target, image = _joint_decision(top, x, y, t, DEFAULT_WITNESS_BOUND)
+    verdict, target, image = _joint_decision(top, x, y, t)
     return verdict, None if image is None else subset(SymSet((target,)), SymSet(tuple(image))).holds
 
 

@@ -340,33 +340,25 @@ class CensusResult:
 
 
 def _strict_pair(elements) -> Optional[tuple]:
-    plus = sorted(
-        (e for e in elements if half_membership(e) is Half.PLUS_STRICT),
-        key=lambda e: (e.k + e.l, e.k, e.l),
-    )
-    minus = sorted(
-        (e for e in elements if half_membership(e) is Half.MINUS_STRICT),
-        key=lambda e: (e.k + e.l, e.k, e.l),
-    )
-    if plus and minus:
-        return (plus[0], minus[0])
-    return None
+    key = lambda e: (e.k + e.l, e.k, e.l)  # unique per element, so the least is well defined
+    plus = min((e for e in elements if half_membership(e) is Half.PLUS_STRICT), key=key, default=None)
+    minus = min((e for e in elements if half_membership(e) is Half.MINUS_STRICT), key=key, default=None)
+    return None if plus is None or minus is None else (plus, minus)
 
 
 def idempotent_census(desc: SetDescriptor, bound: int) -> CensusResult:
     """Count idempotents with index <= bound and classify the full supply."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    diag = [BicyclicElement(n, n) for n in range(bound + 1)]
     if isinstance(desc, (Full, CPlus, CMinus, IdempotentChain)):
-        count = len(diag)
+        count = bound + 1  # every diagonal element b^n a^n with n <= bound
         witness = (BicyclicElement(0, 1), BicyclicElement(1, 0)) if isinstance(desc, Full) else None
         note = "diagonal membership is definitional" if witness is None else "strict pair generates an infinite diagonal family"
         return CensusResult(count, CensusVerdict.INFINITE, witness, note)
     if isinstance(desc, CPlusRow):
         return CensusResult(1 if desc.n <= bound else 0, CensusVerdict.FINITE, None, "single idempotent at the row index")
     if isinstance(desc, CPlusWindow):
-        count = sum(1 for n in range(desc.m, desc.n + 1) if n <= bound)
+        count = max(0, min(desc.n, bound) - desc.m + 1)
         return CensusResult(count, CensusVerdict.FINITE, None, "one idempotent per window row")
     if isinstance(desc, FinitelyGenerated):
         result = desc.closure_at(bound)

@@ -339,92 +339,64 @@ class SubsetWitness:
     covering_bound: Optional[int] = None
 
 
+def _line_view(index: _LineIndex, axis: int, line: int) -> tuple:
+    """What b, read from its line index, holds along one line of the axis.
+
+    Returns b's tails on the line (same-line tails) and the set of `fixed`
+    free exponents: b's points on the line, and the one element where each
+    crossing tail of b meets the line, when it does.
+    """
+    fixed = set(index.line_points[axis].get(line, ()))
+    for cross, tails in index.tails[1 - axis].items():
+        if _any_on_progression(tails, line):
+            fixed.add(cross)
+    return index.tails[axis].get(line, ()), fixed
+
+
 def _tail_subset(tail, index: _LineIndex) -> SubsetWitness:
-    """Decide tail <= b, with b read from its line index, one stretch at a time.
+    """Decide tail <= b, with b read from its line index, in one pass over residue classes.
 
-    A value v of the tail's free exponent lies in b when it is a point of b
-    on the line, the one element where a crossing tail of b meets the line,
-    or a member of a tail of b along the line (a same-line tail).  Call the
-    first two kinds `fixed`.  The bases of the same-line tails above the
-    tail's base cut its values into stretches; the last one starts at
-    `top`, the largest base among the tail and the same-line tails, and has
-    no end.  Inside a stretch the active same-line tails are those based at
-    or below its start, and for v in the stretch, v lies on one iff it does
-    mod that tail's step.  So along the tail, same-line membership repeats
-    in a stretch every `joint` values, the lcm of the tail's step and the
-    active steps: each residue class of the tail mod `joint` is on an
-    active tail throughout the stretch or nowhere in it.
-
-    Each class's first value in the stretch is looked up.  A class on an
-    active tail is covered to the stretch's end.  Any other class is in b
-    only while its values are fixed, so `_walk_classes` follows it by
-    `joint` to its first value outside b; every step passes a fixed value
-    of the stretch, so the walks of all stretches take at most len(fixed)
-    steps in total.
+    A value v of the tail's free exponent lies in b when it is fixed (see
+    `_line_view`) or on a same-line tail.  Let `joint` be the lcm of the
+    tail's step and the same-line steps.  Each same-line step divides
+    joint, so a same-line tail either holds a residue class of the tail mod
+    joint from its own base upward or misses the class entirely; a class
+    is covered from `start`, the least base among the tails that hold it
+    (never, when none does).  Below start the class's values are in b only
+    while they are fixed, so the class is followed by joint through fixed
+    values to its least missing value.  Every such step passes a fixed
+    value, so the walks take at most len(fixed) steps in all.
 
     The counterexample is the least value of the tail outside b, as a scan
-    of every value in order would find it: stretches are taken in order,
-    the looked-up first values in order, and each walk starts one `joint`
-    past every first value of its stretch.
+    of every value in order would find it: the classes are visited in
+    order of their first values, and the pass stops once a first value
+    reaches the least missing value found so far.
 
-    The covering bound is max(fixed + [top]) + period * step, with
-    `period` the lcm of all same-line steps (1 when there are none).  Past
-    the largest fixed value only the same-line tails count, and along the
-    tail they repeat every joint <= period * step, so the values up to the
-    bound span a whole period there: a scan up to it decides the test, and
-    an in-order scan finds the same counterexample.
+    The covering bound is max(fixed + [top]) + period * step, with `top`
+    the largest base among the tail and the same-line tails and `period`
+    the lcm of the same-line steps (1 when there are none).  Past top and
+    every fixed value, membership along the tail repeats every joint <=
+    period * step values, so a scan up to the bound decides the test.
     """
-    axis, line = tail.axis, tail.line
-    same_line = index.tails[axis].get(line, ())
-    fixed = list(index.line_points[axis].get(line, ()))
-    for cross, tails in index.tails[1 - axis].items():
-        # a crossing tail contributes at most the one element on this line
-        if _any_on_progression(tails, line):
-            fixed.append(cross)
+    same_line, fixed = _line_view(index, tail.axis, tail.line)
     base, step = tail.base, tail.step
-    # a base shared by two tails cuts an empty stretch, which decides nothing
-    cuts = sorted([t.base for t in same_line if t.base > base])
-    for start, end in zip([base, *cuts], [*cuts, inf]):
-        active = [t for t in same_line if t.base <= start]
-        period = lcm(*(t.step for t in active))  # 1 when no tail is active
-        joint = lcm(period, step)
-        first = start + (base - start) % step
-        stop = min(first + joint, end)
-        for value in range(first, stop, step):
-            k, l = (line, value) if axis == 0 else (value, line)
-            if not index.has(k, l):
-                return SubsetWitness(False, counterexample=BicyclicElement(k, l))
-        # the looked-up values that no active tail covers are fixed
-        gaps = [
-            v
-            for v in fixed
-            if first <= v < stop and (v - base) % step == 0 and not _any_on_progression(active, v)
-        ]
-        value = _walk_classes(gaps, joint, fixed, end) if gaps else None
-        if value is not None:
-            return SubsetWitness(False, counterexample=_element(axis, line, value))
-    # the last stretch starts at top, with every same-line tail active
-    return SubsetWitness(True, covering_bound=max([start] + fixed) + period * step)
-
-
-def _walk_classes(gaps, joint: int, fixed, end) -> Optional[int]:
-    """The least value below `end` outside b in the classes of `gaps`, or None.
-
-    Each gap is a stretch's first value of a class that a fixed value alone
-    covers; later values of the class, up to `end`, stay in b only while
-    fixed values cover them.  Each step passes a distinct fixed value of
-    the stretch, so all walks of all stretches take at most len(fixed)
-    steps.
-    """
-    fixed = set(fixed)
-    ends = []
-    for value in gaps:
-        value += joint
+    period = lcm(*(t.step for t in same_line))  # 1 when there are none
+    joint = lcm(period, step)
+    least = inf
+    for first in range(base, base + joint, step):
+        start = min((t.base for t in same_line if (first - t.base) % t.step == 0), default=inf)
+        end = min(start, least)
+        value = first
         while value < end and value in fixed:
             value += joint
-        ends.append(value)
-    least = min(ends)
-    return least if least < end else None
+        if value < end:
+            least = value
+        if first + step >= least:  # every later class starts at or past it
+            break
+    if least < inf:
+        return SubsetWitness(False, counterexample=_element(tail.axis, tail.line, least))
+    top = max([base] + [t.base for t in same_line])
+    return SubsetWitness(True, covering_bound=max([top, *fixed]) + period * step)
 
 
 def subset(a: SymSet, b: SymSet) -> SubsetWitness:
@@ -432,12 +404,12 @@ def subset(a: SymSet, b: SymSet) -> SubsetWitness:
 
     Points of a are looked up in a line index of b, which costs O(atoms of
     b) to build and O(tails on one line) per lookup.  Each tail of a is
-    decided stretch by stretch between the bases of b's tails on its line,
-    each in one joint period of its own step and the steps of the tails
-    active there (see `_tail_subset`): O(atoms of b on the line + tails of
-    b across it) plus at most one lookup per value in each stretch's
-    period.  The certificate is the least missing element, or
-    the largest covering bound over the tails of a (see `SubsetWitness`).
+    decided in one pass over its residue classes mod the joint period of
+    its own step and the steps of b's tails on its line (see
+    `_tail_subset`): O(atoms of b on the line + tails of b across it) plus
+    O(tails on the line) per class visited and one step per fixed value
+    walked past.  The certificate is the least missing element, or the
+    largest covering bound over the tails of a (see `SubsetWitness`).
     """
     index = _LineIndex(b.atoms)
     worst_bound = 0
@@ -489,18 +461,11 @@ def intersection_empty(a: SymSet, b: SymSet) -> bool:
             if index.has(x.element.k, x.element.l):
                 return False
             continue
-        axis, line = x.axis, x.line
-        for value in index.line_points[axis].get(line, ()):
-            if _on_progression(x, value):
-                return False
-        for y in index.tails[axis].get(line, ()):
-            if (x.base - y.base) % gcd(x.step, y.step) == 0:
-                return False
-        # a crossing tail on line `cross` can only share the element where
-        # the two lines meet
-        for cross, tails in index.tails[1 - axis].items():
-            if _on_progression(x, cross) and _any_on_progression(tails, line):
-                return False
+        same_line, fixed = _line_view(index, x.axis, x.line)
+        if any(_on_progression(x, value) for value in fixed) or any(
+            (x.base - y.base) % gcd(x.step, y.step) == 0 for y in same_line
+        ):
+            return False
     return True
 
 

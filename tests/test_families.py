@@ -330,6 +330,29 @@ def test_census_finite_families():
     assert r.count == 4 and r.verdict is CensusVerdict.FINITE
 
 
+def test_census_counts_without_building_the_diagonal(monkeypatch):
+    # the counts are arithmetic: a census at a large bound builds no element
+    # per idempotent (the parent built bound + 1 of them for every descriptor)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return BicyclicElement(*args)
+
+    monkeypatch.setattr(families, "BicyclicElement", counting)
+    r = idempotent_census(Full(), 10**5)
+    assert r.count == 10**5 + 1 and r.witness == (E(0, 1), E(1, 0))
+    assert len(built) <= 2
+    built.clear()
+    assert idempotent_census(CPlusWindow(3, 10**5), 10**5).count == 10**5 - 2
+    assert built == []
+    for m in range(4):
+        for n in range(m, 6):
+            for bound in range(7):
+                count = sum(1 for row in range(m, n + 1) if row <= bound)
+                assert idempotent_census(CPlusWindow(m, n), bound).count == count
+
+
 def test_census_generated():
     r = idempotent_census(FinitelyGenerated((E(0, 1), E(1, 0))), 6)
     assert r.verdict is CensusVerdict.INFINITE and r.witness == (E(0, 1), E(1, 0))

@@ -394,52 +394,69 @@ def _walk_case(rng, cover, tails=(1, 2), bases=12):
     return symset(tail), SymSet(tuple(target)), top + joint, joint
 
 
+def _count_class_work(monkeypatch):
+    """Count the subset pass's work: the residue classes it visits (the first
+    values it draws from the module's `range`) and its walk steps (the values
+    that its membership tests find fixed, each followed by one joint)."""
+    work = {"classes": 0, "steps": 0}
+
+    def counted_range(*args):
+        for value in range(*args):
+            work["classes"] += 1
+            yield value
+
+    class CountedSet(set):
+        def __contains__(self, value):
+            found = set.__contains__(self, value)
+            work["steps"] += found
+            return found
+
+    view = symset_module._line_view
+
+    def counted_view(index, axis, line):
+        same_line, fixed = view(index, axis, line)
+        return same_line, CountedSet(fixed)
+
+    monkeypatch.setattr(symset_module, "range", counted_range, raising=False)
+    monkeypatch.setattr(symset_module, "_line_view", counted_view)
+    return work
+
+
 def test_class_walk_matches_the_in_order_scan(monkeypatch):
-    walks = 0
-    walk = symset_module._walk_classes
-
-    def counted(*args):
-        nonlocal walks
-        walks += 1
-        return walk(*args)
-
-    monkeypatch.setattr(symset_module, "_walk_classes", counted)
+    work = _count_class_work(monkeypatch)
     rng = random.Random(20261019)
     kinds = [
         # one or two row tails based near the tail: the walks past the window
         # decide most cases, some of them periods past it
         ({}, lambda v, end, joint: v > end + joint),
-        # two to four row tails based far apart: the stretches below the
-        # largest base are walked too, and some counterexamples lie there
+        # two to four row tails based far apart: classes that the far tails
+        # hold are walked below their bases, and some counterexamples lie there
         ({"tails": (2, 4), "bases": 60}, lambda v, end, joint: v <= end - joint),
     ]
     for case_args, notable in kinds:
         for cover in ("points", "crossers"):
-            walks = found = 0
+            steps = found = 0
             for case in range(150):
                 a, b, end, joint = _walk_case(rng, cover, **case_args)
+                classes = joint // a.atoms[0].step
                 if case % 3 == 1:
                     b = canonicalize(b)
                 if case % 2:
                     a, b = transpose(a), transpose(b)
+                work.update(classes=0, steps=0)
                 got = subset(a, b)
+                # at most one visit per class and one step per fixed value
+                assert work["classes"] <= classes and work["steps"] <= len(b.atoms)
+                steps += work["steps"]
                 assert got == _ref_subset(a, b)
                 x = got.counterexample
                 if x is not None and notable(x.k if case % 2 else x.l, end, joint):
                     found += 1
-            assert walks > 100 and found > 10
+            assert steps > 100 and found > 10
 
 
 def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
-    calls = 0
-    has = symset_module._LineIndex.has
-
-    def counted(self, k, l):
-        nonlocal calls
-        calls += 1
-        return has(self, k, l)
-
-    monkeypatch.setattr(symset_module._LineIndex, "has", counted)
+    work = _count_class_work(monkeypatch)
     cases = [
         # one lookup per value of an 81 * 81 period made 82 lookups
         (symset(RowTail(0, 0, 81)), symset(RowTail(0, 0, 81)), 6561, 3),
@@ -449,9 +466,56 @@ def test_subset_scan_ends_one_joint_period_past_the_bases(monkeypatch):
         (symset(RowTail(0, 0, 2)), symset(RowTail(0, 0, 2), RowTail(0, 999999, 2)), 10**6 + 3, 8),
     ]
     for a, b, bound, most in cases:
-        calls = 0
+        work.update(classes=0, steps=0)
         assert subset(a, b) == SubsetWitness(True, covering_bound=bound)
-        assert calls <= most
+        assert work["classes"] + work["steps"] <= most
+    # 97 * 89 = 8,633 classes, but the first value is missing: one class decides
+    work.update(classes=0, steps=0)
+    w = subset(symset(RowTail(0, 0, 1)), symset(RowTail(0, 1, 97), RowTail(0, 2, 89)))
+    assert w == SubsetWitness(False, counterexample=E(0, 0))
+    assert work == {"classes": 1, "steps": 0}
+
+
+@st.composite
+def _line_pairs(draw):
+    """A row tail and a target crowded on its row, and whether to transpose both.
+
+    The target's row tails have steps that share factors with the tail's
+    step or are coprime to it, and bases near the tail's or far above it.
+    Points and crossing tails fill the values of some residue classes of
+    the tail mod the joint period, up to two periods past the bases, with
+    a few holes; a few more points and crossing tails lie on the row far
+    out (they raise the covering bound) or off it.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    row = draw(st.integers(0, 3))
+    bases = st.one_of(st.integers(0, 10), st.integers(40, 60))
+    tail = RowTail(row, draw(bases), draw(st.sampled_from([1, 2, 3, 4, 6])))
+    same = draw(st.lists(st.builds(RowTail, st.just(row), bases, st.sampled_from([1, 2, 3, 4, 5, 6])), max_size=3))
+    top = max([tail.base] + [t.base for t in same])
+    classes = math.lcm(tail.step, *(t.step for t in same)) // tail.step
+    filled = {c for c in range(classes) if rng.random() < 0.7}
+    target = list(same)
+    for i, value in enumerate(range(tail.base, top + 2 * classes * tail.step, tail.step)):
+        if i % classes in filled and rng.random() > 0.05 and not _ref_member(same, E(row, value)):
+            step = rng.choice([1, 2, 3])
+            crosser = ColTail(value, row - step * rng.randint(0, row // step), step)
+            target.append(rng.choice([Single(E(row, value)), crosser]))
+    for _ in range(rng.randint(0, 3)):  # far points and crossings on the row, and atoms off it
+        far, near = Single(E(row, rng.randint(0, 200))), ColTail(rng.randint(0, 200), row, 1)
+        target.append(rng.choice([far, near, Single(E(row + 1, 7)), ColTail(7, row + 1, 1)]))
+    rng.shuffle(target)
+    return SymSet((tail,)), SymSet(tuple(target)), draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_line_pairs())
+def test_class_pass_matches_the_all_pairs_reference(case):
+    a, b, flip = case
+    if flip:
+        a, b = transpose(a), transpose(b)
+    assert subset(a, b) == _ref_subset(a, b)
+    assert intersection_empty(a, b) == _ref_intersection_empty(a, b)
 
 
 def test_canonicalize_scans_only_the_lines_of_each_atom(monkeypatch):
