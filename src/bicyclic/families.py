@@ -23,6 +23,7 @@ constructions:
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -119,27 +120,36 @@ class IdempotentChain(SetDescriptor):
 class FinitelyGenerated(SetDescriptor):
     """Subsemigroup generated by a finite list, explored by bounded closure.
 
-    Each bounded closure is computed once per bound and kept on the
-    descriptor, so membership, enumeration, census and neighborhood queries
-    on one family all read the same view, which is freed with the descriptor.
+    The closure at each bound is computed once, as the bits of
+    `_closure_box`, and kept on the descriptor until it is freed.
+    Membership, census and neighborhood queries read that one box:
+    membership tests a bit and a census counts and scans bits.  Elements
+    are built only for the listings of `closure_at` and `enumerate_members`.
     """
 
     gens: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_views", {})  # bound -> ClosureResult, outside eq, hash and repr
         if not self.gens:
             raise ValueError("generator list must be non-empty")
         for g in self.gens:
             if not isinstance(g, BicyclicElement):
                 raise TypeError("generators must be monoid elements")
+        # outside eq, hash and repr: the largest generator exponent, and bound -> (box, saturated)
+        object.__setattr__(self, "_gen_max", max(max(g.k, g.l) for g in self.gens))
+        object.__setattr__(self, "_views", {})
 
-    def closure_at(self, bound: int) -> ClosureResult:
-        """`closure(self.gens, bound)`, computed on the first call for this bound."""
+    def _box_at(self, bound: int) -> tuple:
         view = self._views.get(bound)
         if view is None:
-            view = self._views[bound] = closure(self.gens, bound)
+            _require_cover(self._gen_max, bound)
+            view = self._views[bound] = _closure_box(self.gens, bound)
         return view
+
+    def closure_at(self, bound: int) -> ClosureResult:
+        """`closure(self.gens, bound)`, read from the box computed on the first call for this bound."""
+        box, saturated = self._box_at(bound)
+        return ClosureResult(frozenset(_elements(box, bound)), saturated)
 
 
 # a dataclass: the benchmark's tests forge copies with dataclasses.replace
@@ -159,9 +169,25 @@ class ClosureResult:
     saturated: bool
 
 
-def _require_cover(gens, bound: int):
-    if any(max(g.k, g.l) > bound for g in gens):
+def _require_cover(gen_max: int, bound: int):
+    if gen_max > bound:
         raise ValueError("closure bound must cover the generators")
+
+
+def _diagonal(w: int) -> int:
+    """Bits l*(w+1) for l < w: the diagonal k = l of a box of width w."""
+    return ((1 << w * (w + 1)) - 1) // ((1 << w + 1) - 1)
+
+
+def _elements(box: int, bound: int):
+    """The members of a box, row by row and left to right (lexicographic order)."""
+    w = bound + 1
+    for k in range(w):
+        row = box >> k * w & (1 << w) - 1
+        while row:
+            low = row & -row
+            yield BicyclicElement(k, low.bit_length() - 1)
+            row ^= low
 
 
 def closure(gens, bound: int) -> ClosureResult:
@@ -173,94 +199,87 @@ def closure(gens, bound: int) -> ClosureResult:
     members leaves the box, so members is the whole generated subsemigroup
     (which is then finite).
 
-    The fixpoint runs on row bitmasks: rows[k] has bit l set when b^k a^l
-    is a member.  For x = (a, b) and y = (c, d) the product law reads
+    The fixpoint (`_closure_box`) keeps the box in one int: with
+    w = bound + 1, bit k*w + l is set when b^k a^l is a member.  For
+    x = (a, b) and y = (c, d) the product law reads
 
         b <= c:  (c + (a - b), d)    x matters only through delta = a - b
         b >= c:  (a, b + (d - c))    y matters only through eps = d - c
 
     (at b = c both give (a, d)).  Let m[delta] be the least l of a member
     with k - l = delta, and n[eps] the least k of a member with l - k = eps.
-    Each product then becomes a whole-row move:
+    The least member on diagonal delta holds both m[delta] and n[-delta],
+    and one AND with the main diagonal (every (w + 1)-th bit) shifted onto
+    it, then one lowest-bit read, finds it.  Each law is then a masked
+    whole-box shift, repeated on the bits it adds, so that it also forms
+    the chains x*y*y*... along one difference:
 
-      A. for every row c >= m[delta], rows[c + delta] |= rows[c]: the member
-         at m[delta] times each member of row c;
-      B. for every row a, the bits of rows[a] at n[eps] or above, shifted by
-         eps, are ORed back into rows[a]: each member of row a with l >= n[eps]
-         times the member at n[eps].
+      A. rows c >= m[delta], shifted by delta rows: the member at m[delta]
+         times each member of row c lands in row c + delta;
+      B. columns b >= n[eps], shifted by eps bits: each member of column b
+         times the member at n[eps] lands in column b + eps.
 
     Both moves only form products of two members, so they are exact.  They
     are complete: for an ordered pair with b <= c, m[a - b] <= b <= c puts
     row c under move A for x's difference, and for b >= c, n[d - c] <= c <= b
-    puts x's bit under move B for y's.  A difference of 0 (an idempotent)
-    maps every row to itself and is left out.  A product that leaves the
-    box, a target row past bound in move A or a bit shifted past bit bound
-    in move B, sets saturated=False; it comes from two members, and the
-    last sweep forms every product, so the flag is exact.
-
-    A sweep first enters the bits that the previous sweep added into m and
-    n (each member once), then runs move A in the order that lets a row
-    feed its own target (rising rows for delta > 0, falling for delta < 0)
-    and repeats move B on the bits it adds, so one sweep also forms the
-    chains x*y*y*... along one difference.  Sweeps stop when one changes no
-    row.  A sweep costs O(bound^2) shifts and ORs on (bound + 1)-bit ints;
-    it multiplies all members present when it starts, so product length at
-    least doubles per sweep where the intermediates fit the box.
+    puts column b under move B for y's; a difference of 0 (an idempotent)
+    maps every member to itself.  Rows shifted past row bound, and columns
+    a shift would push past column bound (masked off first, so no bit wraps
+    into the next row), are products leaving the box: saturated=False.
+    Diagonals are visited in turn, each in O(1) big-int operations plus one
+    per chain step, until each has been visited since a move last added a
+    bit: those visits form every product of the final members, so the box
+    is closed and the flag is exact.
     """
     gens = tuple(gens)
-    _require_cover(gens, bound)
-    rows = [0] * (bound + 1)
+    _require_cover(max((max(g.k, g.l) for g in gens), default=0), bound)
+    box, saturated = _closure_box(gens, bound)
+    return ClosureResult(frozenset(_elements(box, bound)), saturated)
+
+
+def _closure_box(gens, bound: int) -> tuple:
+    """(box, saturated) of `closure(gens, bound)`: bit k*(bound + 1) + l is b^k a^l."""
+    w = bound + 1
+    full = (1 << w * w) - 1
+    row_ones = full // ((1 << w) - 1)  # bit k*w of every row k
+    diagonal = _diagonal(w)
+    box = 0
     for g in gens:
-        rows[g.k] |= 1 << g.l
-    full = (1 << (bound + 1)) - 1
-    min_l = {}  # k - l -> least l among members, for k != l
-    min_k = {}  # l - k -> least k among members, for k != l
+        box |= 1 << g.k * w + g.l
     saturated = True
-    fresh = list(rows)
-    while any(fresh):
-        for k, bits in enumerate(fresh):
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                l = low.bit_length() - 1
-                if k != l:
-                    if l < min_l.get(k - l, bound + 1):
-                        min_l[k - l] = l
-                    if k < min_k.get(l - k, bound + 1):
-                        min_k[l - k] = k
-        before = list(rows)
-        for delta, least in min_l.items():
-            if delta > 0:
-                for c in range(least, bound + 1):
-                    if rows[c]:
-                        if c + delta > bound:
-                            saturated = False
-                            break
-                        rows[c + delta] |= rows[c]
-            else:
-                for c in range(bound, least - 1, -1):
-                    if rows[c]:
-                        rows[c + delta] |= rows[c]
-        for eps, least in min_k.items():
-            for a, row in enumerate(rows):
-                src = row >> least << least
-                while src:
-                    moved = src << eps if eps > 0 else src >> -eps
-                    if moved > full:
-                        saturated = False
-                        moved &= full
-                    src = moved & ~row
-                    row |= src
-                    src = src >> least << least
-                rows[a] = row
-        fresh = [new ^ old for new, old in zip(rows, before)]
-    members = frozenset(
-        BicyclicElement(k, l)
-        for k, row in enumerate(rows)
-        for l in range(row.bit_length())
-        if row >> l & 1
-    )
-    return ClosureResult(members, saturated)
+    quiet = 0  # diagonals visited since a move last added a bit
+    for delta in itertools.cycle(range(-bound, bound + 1)):
+        if quiet > 2 * bound:
+            return box, saturated
+        quiet += 1
+        on = box & (diagonal << delta * w if delta >= 0 else diagonal << -delta)
+        if not delta or not on:
+            continue
+        k, l = divmod((on & -on).bit_length() - 1, w)
+        if k - l != delta:  # a bit of the shifted diagonal that wrapped past column bound
+            continue
+        before = box
+        rows = box >> l * w << l * w  # move A: rows >= m[delta] = l, shifted by delta rows
+        while rows:
+            moved = rows << delta * w if delta > 0 else rows >> -delta * w
+            if moved > full:
+                saturated = False
+                moved &= full
+            added = moved & ~box
+            box |= added
+            rows = added >> l * w << l * w
+        source = ((1 << w) - (1 << k)) * row_ones  # move B: columns >= n[-delta] = k, shifted by -delta
+        edge = ((1 << w) - (1 << w + delta)) * row_ones if delta < 0 else 0  # columns pushed out
+        cols = box & source
+        while cols:
+            if cols & edge:
+                saturated = False
+                cols &= ~edge
+            added = (cols << -delta if delta < 0 else cols >> delta) & ~box
+            box |= added
+            cols = added & source
+        if box != before:
+            quiet = 0
 
 
 def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> BoundedMembership:
@@ -272,11 +291,10 @@ def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = N
     definite only if the closure saturated.
     """
     if isinstance(desc, FinitelyGenerated):
-        gen_max = max(max(g.k, g.l) for g in desc.gens)
-        used = max(bound if bound is not None else DEFAULT_CLOSURE_BOUND, gen_max, x.k, x.l)
-        result = desc.closure_at(used)
-        found = x in result.members
-        return BoundedMembership(found, found or result.saturated, used)
+        used = max(bound if bound is not None else DEFAULT_CLOSURE_BOUND, desc._gen_max, x.k, x.l)
+        box, saturated = desc._box_at(used)
+        found = box >> x.k * (used + 1) + x.l & 1 == 1
+        return BoundedMembership(found, found or saturated, used)
     return BoundedMembership(contains(desc, x), True, 0)
 
 
@@ -312,7 +330,7 @@ def enumerate_members(desc: SetDescriptor, bound: int) -> list:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if isinstance(desc, FinitelyGenerated):
-        return sorted(desc.closure_at(bound).members)
+        return list(_elements(desc._box_at(bound)[0], bound))
     box = (
         BicyclicElement(k, l)
         for k in range(bound + 1)
@@ -339,13 +357,6 @@ class CensusResult:
     note: str = ""
 
 
-def _strict_pair(elements) -> Optional[tuple]:
-    key = lambda e: (e.k + e.l, e.k, e.l)  # unique per element, so the least is well defined
-    plus = min((e for e in elements if half_membership(e) is Half.PLUS_STRICT), key=key, default=None)
-    minus = min((e for e in elements if half_membership(e) is Half.MINUS_STRICT), key=key, default=None)
-    return None if plus is None or minus is None else (plus, minus)
-
-
 def idempotent_census(desc: SetDescriptor, bound: int) -> CensusResult:
     """Count idempotents with index <= bound and classify the full supply."""
     if bound < 0:
@@ -361,17 +372,21 @@ def idempotent_census(desc: SetDescriptor, bound: int) -> CensusResult:
         count = max(0, min(desc.n, bound) - desc.m + 1)
         return CensusResult(count, CensusVerdict.FINITE, None, "one idempotent per window row")
     if isinstance(desc, FinitelyGenerated):
-        result = desc.closure_at(bound)
-        count = sum(1 for e in result.members if e.is_idempotent)
-        pair = _strict_pair(result.members)
-        if pair is not None:
-            return CensusResult(
-                count,
-                CensusVerdict.INFINITE,
-                pair,
-                "strict pair generates an infinite diagonal family",
-            )
-        if result.saturated:
+        box, saturated = desc._box_at(bound)
+        w = bound + 1
+        count = (box & _diagonal(w)).bit_count()
+        least = [None, None]  # least (k, l) with k < l and with k > l, by k + l and then k
+        for k in range(w):
+            row = box >> k * w & (1 << w) - 1
+            for side, part in enumerate((row >> k + 1 << k + 1, row & (1 << k) - 1)):
+                if part:
+                    l = (part & -part).bit_length() - 1
+                    if least[side] is None or k + l < sum(least[side]):
+                        least[side] = (k, l)
+        if None not in least:
+            pair = tuple(BicyclicElement(k, l) for k, l in least)
+            return CensusResult(count, CensusVerdict.INFINITE, pair, "strict pair generates an infinite diagonal family")
+        if saturated:
             return CensusResult(count, CensusVerdict.FINITE, None, "closure saturated, count is exact")
         return CensusResult(count, CensusVerdict.BOUNDED_EVIDENCE, None, "closure truncated at the bound")
     raise TypeError(f"unknown descriptor {desc!r}")
@@ -480,7 +495,7 @@ def finite_neighborhood(desc: SetDescriptor, x: BicyclicElement, bound: int) -> 
     largest of them and of x; so an unreachable bound wins over a non-member.
     """
     if isinstance(desc, FinitelyGenerated):
-        _require_cover(desc.gens, bound)
+        _require_cover(desc._gen_max, bound)
     if bound < max(x.k, x.l) + 1:
         raise NoIsolatingIdempotentError(f"bound {bound} cannot reach an idempotent above {x}")
     if not contains(desc, x, bound):

@@ -1,15 +1,17 @@
 """Named families: membership, closure, census, idempotent families, finite blocks."""
 
 import random
+import sys
 from collections import Counter, defaultdict
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bicyclic.families as families
+import bicyclic.verify as verify
 from bicyclic import (
     BicyclicElement,
     CensusVerdict,
@@ -264,15 +266,15 @@ def test_closure_matches_worklist_engine_on_edge_cases(gens, bound):
 
 @pytest.fixture
 def closure_builds(monkeypatch):
-    """Counts closure computations by bound."""
+    """Counts closure computations (runs of the box fixpoint) by bound."""
     builds = Counter()
-    engine = families.closure
+    engine = families._closure_box
 
     def counted(gens, bound):
         builds[bound] += 1
         return engine(gens, bound)
 
-    monkeypatch.setattr(families, "closure", counted)
+    monkeypatch.setattr(families, "_closure_box", counted)
     return builds
 
 
@@ -296,6 +298,103 @@ def test_family_closure_is_built_once_per_bound(closure_builds):
     assert contains(desc, E(0, 2), 12)
     assert census.verdict is CensusVerdict.INFINITE
     assert closure_builds == {12: 1}
+
+
+@pytest.fixture
+def families_builds(monkeypatch):
+    """Records the elements that code in `families` constructs."""
+    built = []
+    init = BicyclicElement.__init__
+
+    def counting(self, *args):
+        if sys._getframe(1).f_globals is vars(families):
+            built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BicyclicElement, "__init__", counting)
+    return built
+
+
+def test_generated_queries_build_elements_only_for_listings(families_builds):
+    # membership and census read the closure's bits; only listings make elements
+    desc = parse_descriptor("gen:b^1a^2,b^4a^1")
+    queries = [E(k % 9, (5 * k) % 14) for k in range(24)]
+    families_builds.clear()
+    for x in queries:
+        membership(desc, x, 14)
+    assert families_builds == []
+
+    census = idempotent_census(FinitelyGenerated((E(0, 1), E(2, 0))), 12)
+    assert census.verdict is CensusVerdict.INFINITE and census.witness == (E(0, 1), E(1, 0))
+    assert len(families_builds) <= 2
+
+    families_builds.clear()
+    assert all(ok for _, ok in verify._suite_prop1(None))
+    assert len(families_builds) < 200  # five closures at bound 24 hold about 2,500 members
+
+
+_differential_cache = {}
+
+
+def _naive_cached(gens, bound):
+    key = (tuple(gens), bound)
+    if key not in _differential_cache:
+        _differential_cache[key] = _naive_closure(gens, bound)
+    return _differential_cache[key]
+
+
+def _reference_census(gens, bound):
+    """(count, verdict, witness, note) of a generated census, from the naive fixpoint."""
+    members, saturated = _naive_cached(gens, bound)
+    count = sum(1 for k, l in members if k == l)
+    key = lambda p: (p[0] + p[1], p)
+    plus = min((p for p in members if p[0] < p[1]), key=key, default=None)
+    minus = min((p for p in members if p[0] > p[1]), key=key, default=None)
+    if plus is not None and minus is not None:
+        return count, CensusVerdict.INFINITE, (E(*plus), E(*minus)), "strict pair generates an infinite diagonal family"
+    if saturated:
+        return count, CensusVerdict.FINITE, None, "closure saturated, count is exact"
+    return count, CensusVerdict.BOUNDED_EVIDENCE, None, "closure truncated at the bound"
+
+
+@st.composite
+def _generated_families(draw):
+    """(generator pairs, bound, membership queries): any, idempotent-only or one-sided sets, maybe inverted."""
+    kind = draw(st.sampled_from(["any", "idempotent", "upper", "lower"]))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        k, l = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        if kind == "idempotent":
+            k = l
+        elif kind != "any":
+            k, l = sorted((k, l), reverse=kind == "lower")
+        gens.append((k, l))
+    if draw(st.booleans()):
+        gens = [(l, k) for k, l in gens]
+    bound = max(max(g) for g in gens) + draw(st.integers(0, 6))
+    point = st.tuples(st.integers(0, bound + 1), st.integers(0, bound + 1))
+    queries = draw(st.lists(st.tuples(point, st.integers(0, bound)), min_size=1, max_size=4))
+    return gens, bound, queries
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_generated_families())
+# witnesses where the least strict member by k + l is not the least by l (ties broken by k) or by k
+@example(([(1, 7), (6, 4), (7, 7)], 7, [((2, 4), 7)]))
+@example(([(7, 4), (0, 6)], 7, [((0, 6), 3)]))
+def test_box_engine_matches_naive_fixpoint(case):
+    gens, bound, queries = case
+    desc = FinitelyGenerated(tuple(E(k, l) for k, l in gens))
+    members, saturated = _naive_cached(gens, bound)
+    got = closure(desc.gens, bound)
+    assert ({(e.k, e.l) for e in got.members}, got.saturated) == (members, saturated)
+    census = idempotent_census(desc, bound)
+    assert (census.count, census.verdict, census.witness, census.note) == _reference_census(gens, bound)
+    for (k, l), query_bound in queries:
+        used = max(query_bound, k, l, *(max(g) for g in gens))
+        found = (k, l) in _naive_cached(gens, used)[0]
+        answer = membership(desc, E(k, l), query_bound)
+        assert (answer.member, answer.definite, answer.bound) == (found, found or _naive_cached(gens, used)[1], used)
 
 
 def test_fg_membership_definite_vs_bounded():
