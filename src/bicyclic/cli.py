@@ -511,7 +511,7 @@ _COMMANDS = {
         _cmd_verify,
         [
             _arg("suite", choices=SUITE_NAMES),
-            _arg("--bound", type=int, default=None),
+            _arg("--bound", type=int, default=None, help="read by hausdorff, prop2, thm1 and thm2 only"),
             _arg("--p", type=int, default=2, help="prime for the prop2 window sweep"),
             _arg("--m", type=int, default=0, help="first window row for prop2"),
             _arg("--n", type=int, default=2, help="last window row for prop2"),

@@ -13,29 +13,23 @@ Because basic neighborhoods only refine as the index grows (the base point
 never moves, only the progression step changes), each question is
 monotone in k.
 
-The least k that can work is known before any test.  Every basic
-neighborhood is one atom, so the engine works on the source atoms
-themselves, never on one-atom sets.  A point atom does not depend on the
-index, so when both source atoms are points the candidate is k0 = 1.
-When a source atom is a tail of step p^k, its image contains an infinite
-slope-one tail of step p^k, which fits inside a target of step p^t only
-when p^t divides p^k; so the candidate is k0 = t.  A cell is therefore
-decided at k0, and when the image there fits, k0 is the minimal modulus.
-The target is a single atom too, so the image fits exactly when each atom
-that the image builders emit at k0 does: a point that the target has as a
-member, or a tail on the target's line that the target's progression
-holds.  A right image reads s and its source atom in place, on axis 1 of
-the left image builder, so nothing is transposed.  No set, no canonical
-form and no general subset test is needed for that.
-
-Failure is certified structurally, not by giving up: the image of a
-progression tail contains a far tail, the image of its high end and the
+One criterion decides every cell: the far tails of the image.  The image
+of a source tail ends in a far tail, the image of its high end and the
 last atom that _left_image_atom or _right_image_atom emits for it, whose
-line (the fixed exponent) does not depend on k.  If it runs along another
-line than the target, no k can ever work, and the verdict carries one
-concrete escaping element per small k.  A far tail on the target's line
-always fits (see _structural_reason), so every cell at every index ends
-ContinuousAt or DiscontinuousAt; nothing is searched past k0.
+line (the fixed exponent) does not depend on k.  If one runs along
+another line than the target, no k can ever work, and the verdict carries
+one concrete escaping element per small k.  If none does, the whole image
+fits at the least index that can work, k0 (_structural_reason proves
+this), and the cell is continuous with modulus k0.  A point atom does not
+depend on the index, so when both source atoms are points (the cell has
+no far tail), k0 = 1.  Otherwise a source tail of step p^k has an image
+holding an infinite slope-one tail of step p^k, which fits inside a
+target of step p^t only when p^t divides p^k, so k0 = t.
+
+Lines and isolation do not depend on t, so neither does a cell's verdict
+kind.  Nothing is searched, and a continuous cell wraps no atom in a set.
+A right image reads s and its source atom in place, on axis 1 of the left
+image builder, so nothing is transposed.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from .families import contains, enumerate_members
 from .symset import (
     Single,
     SymSet,
-    _atoms_within,
     _left_image_atom,
     _pair_atoms,
     _right_image_atom,
@@ -133,29 +126,37 @@ def shift_image(side: ShiftSide, s: BicyclicElement, sets: SymSet) -> SymSet:
 # --- structural analysis ------------------------------------------------------
 
 
-def _structural_reason(far_tails, target: SymSet) -> Optional[str]:
-    """A far tail off the target's line, which rules out every source index, or None.
+def _structural_reason(far_tails, target) -> Optional[str]:
+    """A far tail off the line of the target atom, which rules out every source index, or None.
 
-    No other reason is needed on the supported topologies.  Along a tail,
-    one argument of the min in the product law runs up with slope one;
-    past the other argument the image moves along one line, and below it
-    the image is off that line.  So a far tail on the shifted point's line
-    continues the point's own progression, inside the target of the same
-    step.  A tail source never maps to an isolated point, a window point of
+    None means that every atom `_pair_atoms` emits at k0 fits the target.
+    With no source tail, the image is the product point, which its
+    neighborhood holds.  Else the builders read each source tail up from
+    its base, the cell's own point, and the product law switches at one
+    threshold, the other factor's facing exponent (a shift along the
+    tail's axis compares the fixed line, so no member switches).  Members
+    below it make points or shifted copies off the far tail's line.  They
+    exist only when the base lies below it, and then the product point is
+    made the same way, so the far tail leaves its line.  Otherwise every
+    atom lies on the target's line: the member at the threshold gives the
+    product point or a tail from it, and those above give tails based on
+    its progression, of step p^t, since every source tail is built at index
+    t and two of them flatten to that gcd step with no gaps.
+
+    A tail source never maps to an isolated point, a window point of
     second exponent at most n: a product's second exponent is at least its
     right factor's, and at least its left factor's when the right factor
-    is a window point (first exponent at most n).  So a cell whose image
-    escapes the target at k0 always has a reason, and _decide raises
-    RuntimeError if one does not.
+    is a window point (first exponent at most n).  So a far tail against a
+    point target is a fault; it raises RuntimeError rather than read as
+    continuous.
     """
-    watom = target.atoms[0]
-    if isinstance(watom, Single):
-        return None
+    if far_tails and isinstance(target, Single):
+        raise RuntimeError("a far tail meets an isolated target, which no supported topology allows")
     for tail in far_tails:
-        if (tail.axis, tail.line) != (watom.axis, watom.line):
+        if (tail.axis, tail.line) != (target.axis, target.line):
             return (
                 f"the image always contains a tail along {('row', 'col')[tail.axis]} {tail.line}, "
-                f"but target neighborhoods live along {('row', 'col')[watom.axis]} {watom.line}"
+                f"but target neighborhoods live along {('row', 'col')[target.axis]} {target.line}"
             )
     return None
 
@@ -189,30 +190,24 @@ def _decide(top, target, t, x, ax, y, ay):
     """Decide whether the product of atoms ax (holding x) and ay (holding y) fits the target atom.
 
     This is the engine of every cell.  ax and ay are the source atoms
-    built at index t.  A point atom, the shifting element's {s} or an
-    isolated point's neighborhood, is the same at every index, so k0 = 1
-    when both are points and k0 = t otherwise (see the module docstring).
-    The atoms that `_pair_atoms` emits at k0, each tested against the
-    target atom (`_atoms_within`), decide exactly whether the image fits.
-    Returns the verdict and, for a continuous cell, those atoms.  Only a
-    failure wraps atoms in SymSets: the structural reason certifies it, with
-    witnesses read off the products at k = 1..DEFAULT_WITNESS_BOUND by exact subset tests.
+    built at index t, and their far tails decide (_structural_reason).
+    Without a reason the cell is continuous at k0: 1 when both atoms are
+    points, which are the same at every index, and t otherwise (see the
+    module docstring).  A reason certifies a failure, with witnesses read
+    off the products at k = 1..DEFAULT_WITNESS_BOUND by exact subset tests;
+    only then are atoms wrapped in SymSets.
     """
-    image = _pair_atoms(ax, ay)
-    if _atoms_within(image, target):
-        k0 = 1 if isinstance(ax, Single) and isinstance(ay, Single) else t
-        return ContinuousAt(((t, k0),)), image
-    target = SymSet((target,))
-    reason = _structural_reason(_far_tails(x, ax, y, ay), target)
+    tails = _far_tails(x, ax, y, ay)
+    reason = _structural_reason(tails, target)
     if reason is None:
-        # the _structural_reason docstring proves that this cannot happen
-        raise RuntimeError("the image escapes the target at k0 without a structural reason")
+        return ContinuousAt(((t, t if tails else 1),))
+    target = SymSet((target,))
 
     def at(z, az, k):  # a point atom is its own neighborhood at every index
         return SymSet((az,)) if isinstance(az, Single) else basic_nbhd(top, z, k)
 
     images = lambda k: product(at(x, ax, k), at(y, ay, k))
-    return DiscontinuousAt(t, _witnesses(images, target, DEFAULT_WITNESS_BOUND), reason), None
+    return DiscontinuousAt(t, _witnesses(images, target, DEFAULT_WITNESS_BOUND), reason)
 
 
 # --- shift continuity ----------------------------------------------------------
@@ -231,8 +226,8 @@ def check_shift_at(top: TopologyDescriptor, side: ShiftSide, s: BicyclicElement,
     source = _nbhd_atom(top, x, t)  # also validates x
     point = Single(s)
     if side is ShiftSide.LEFT:
-        return _decide(top, target, t, s, point, x, source)[0]
-    return _decide(top, target, t, x, source, s, point)[0]
+        return _decide(top, target, t, s, point, x, source)
+    return _decide(top, target, t, x, source, s, point)
 
 
 @_record
@@ -286,25 +281,27 @@ def check_joint_at(top: TopologyDescriptor, x: BicyclicElement, y: BicyclicEleme
     Both source neighborhoods are built once, at index t, and the engine
     decides their product against the neighborhood of x*y.
     """
-    return _joint_decision(top, x, y, t)[0]
+    target, ax, ay = _joint_atoms(top, x, y, t)
+    return _decide(top, target, t, x, ax, y, ay)
 
 
-def _joint_decision(top, x, y, t):
-    """check_joint_at's verdict, its target atom and the image's atoms at the modulus (None unless continuous)."""
-    target = _nbhd_atom(top, multiply(x, y), t)
-    ax, ay = _nbhd_atom(top, x, t), _nbhd_atom(top, y, t)
-    verdict, image = _decide(top, target, t, x, ax, y, ay)
-    return verdict, target, image
+def _joint_atoms(top, x, y, t):
+    """The target atom of the joint cell at (x, y) and the source atoms of x and y, all built at index t."""
+    return _nbhd_atom(top, multiply(x, y), t), _nbhd_atom(top, x, t), _nbhd_atom(top, y, t)
 
 
 def _joint_with_equality(top, x, y, t):
     """check_joint_at's verdict and, when continuous, whether the image at the modulus equals the target.
 
-    The image is inside the target, so it equals the target when the target
-    is inside the union of its atoms, in whatever order they come.
+    The image at the modulus is the product of the atoms built at t, and it
+    lies inside the target, so it equals the target when the target is
+    inside the union of its atoms, in whatever order they come.
     """
-    verdict, target, image = _joint_decision(top, x, y, t)
-    return verdict, None if image is None else subset(SymSet((target,)), SymSet(tuple(image))).holds
+    target, ax, ay = _joint_atoms(top, x, y, t)
+    verdict = _decide(top, target, t, x, ax, y, ay)
+    if not isinstance(verdict, ContinuousAt):
+        return verdict, None
+    return verdict, subset(SymSet((target,)), SymSet(tuple(_pair_atoms(ax, ay)))).holds
 
 
 def _isolation_case(top, x, y) -> str:
@@ -380,24 +377,26 @@ def find_discontinuity(
     bound: int,
     t_max: Optional[int] = None,
 ) -> Optional[DiscontinuityWitness]:
-    """First shift discontinuity within the bound.
+    """First shift discontinuity within the bound, always at target index t = 1.
 
-    Scans pairs by total exponent size, then lexicographically, with the
-    target index innermost.  Every discontinuous verdict carries a
-    structural reason, so a returned witness is certified for every source
-    index.
+    Scans pairs by total exponent size, then lexicographically.  A cell's
+    verdict kind does not depend on the target index (see the module
+    docstring), so each pair is decided once, at t = 1; t_max (the bound
+    when None) only gates the scan, which finds nothing below 1.  Every
+    discontinuous verdict carries a structural reason, so a returned
+    witness is certified for every source index.
     """
-    t_top = t_max if t_max is not None else bound
     points = enumerate_members(carrier(top), bound)
+    if (bound if t_max is None else t_max) < 1:
+        return None
     pairs = sorted(
         ((s, x) for s in points for x in points),
         key=lambda sx: (sx[0].k + sx[0].l + sx[1].k + sx[1].l, sx[0], sx[1]),
     )
     for s, x in pairs:
-        for t in range(1, t_top + 1):
-            verdict = check_shift_at(top, side, s, x, t)
-            if isinstance(verdict, DiscontinuousAt):
-                return DiscontinuityWitness(s, x, t, verdict)
+        verdict = check_shift_at(top, side, s, x, 1)
+        if isinstance(verdict, DiscontinuousAt):
+            return DiscontinuityWitness(s, x, 1, verdict)
     return None
 
 

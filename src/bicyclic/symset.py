@@ -244,29 +244,6 @@ def _any_holds_tail(tails, tail) -> bool:
     return False
 
 
-def _atoms_within(atoms, outer) -> bool:
-    """Whether every one of `atoms` lies inside the single atom `outer`.
-
-    A union lies inside one atom exactly when each of its atoms does.  A
-    point does when outer has it as a member.  A tail is infinite, so it
-    never fits in a point, and it meets a tail on another line in at most
-    one element; so it fits only in a tail on its own line, which must hold
-    it by `_tail_holds`.
-    """
-    for atom in atoms:
-        if isinstance(atom, Single):
-            if not atom_member(outer, atom.element):
-                return False
-        elif (
-            isinstance(outer, Single)
-            or atom.axis != outer.axis
-            or atom.line != outer.line
-            or not _tail_holds(outer, atom)
-        ):
-            return False
-    return True
-
-
 def canonicalize(s: SymSet) -> SymSet:
     """Deterministic normal form: dedupe, drop atoms absorbed by another, sort.
 

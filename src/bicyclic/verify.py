@@ -239,6 +239,8 @@ def _suite_thm2(bound):
     """Division replays: finite, fully verified solution sets."""
     checks = []
     b = 8 if bound is None else bound
+    if b < 0:
+        raise ValueError("bound must be non-negative")
     tuples = [
         (x0, y0, i0, j0)
         for x0 in range(b + 1)

@@ -232,6 +232,12 @@ def test_verify_prop2_fourth_case_rejects_a_coarse_modulus(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("suite", ["thm2", "hausdorff", "prop2"])
+def test_verify_rejects_a_negative_bound(capsys, suite):
+    # a negative bound is a usage error, not an empty suite that passes
+    assert run(capsys, "verify", suite, "--bound", "-1") == (2, "", "error: bound must be non-negative\n")
+
+
 def test_brute_division_matches_a_scan_by_multiply():
     from bicyclic import BicyclicElement as E, multiply
     from bicyclic.verify import _brute_division

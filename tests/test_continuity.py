@@ -45,7 +45,8 @@ from bicyclic import (
     window_joint_report,
 )
 from bicyclic.continuity import _joint_with_equality
-from bicyclic.symset import _atoms_within, _left_image_atom, _product_atoms, _right_image_atom
+from bicyclic.symset import _left_image_atom, _product_atoms, _right_image_atom
+from reference import atoms_within
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -432,17 +433,22 @@ def test_cells_past_twelve_match_the_k_search(text):
         assert 13 in moduli  # some tail cell needs the modulus 13 itself
 
 
-def test_a_failure_without_a_reason_raises(monkeypatch):
-    # the README's discontinuous cell, with the certificate taken away
-    monkeypatch.setattr(continuity, "_structural_reason", lambda far_tails, target: None)
+def test_a_far_tail_against_a_point_target_raises(monkeypatch):
+    # isolation rules this out (see _structural_reason); a fault that broke
+    # it must not read as a silent "continuous"
+    monkeypatch.setattr(continuity, "_far_tails", lambda x, ax, y, ay: [RowTail(0, 0, 2)])
+    top = Discrete(Full())
     with pytest.raises(RuntimeError):
-        check_shift_at(PAdicPlus(2), RIGHT, E(1, 1), E(0, 0), 1)
+        check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)
+    with pytest.raises(RuntimeError):
+        check_joint_at(top, E(1, 1), E(0, 2), 1)
 
 
 @pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
 def test_atomwise_decision_matches_the_subset_test(text):
-    # a cell's image at k0 fits the target exactly when each raw atom that the
-    # image builders emit fits the target's one atom
+    # the oracle of the far-tail criterion: a cell's image at k0 fits the
+    # target exactly when each raw atom that the image builders emit fits
+    # the target's one atom, and the cell is continuous exactly then
     top = parse_topology(text)
     outcomes = set()
     for side, a, b, t in _cells(top, 4, 4):
@@ -451,17 +457,45 @@ def test_atomwise_decision_matches_the_subset_test(text):
             nx, ny = basic_nbhd(top, a, t), basic_nbhd(top, b, t)
             target = basic_nbhd(top, multiply(a, b), t)
             atoms, image = _product_atoms(nx, ny), product(nx, ny)
+            verdict = check_joint_at(top, a, b, t)
         else:
             source = basic_nbhd(top, b, t)
             target = basic_nbhd(top, apply_shift(side, a, b), t)
             atom = source.atoms[0]
             atoms = _left_image_atom(a, atom) if side is LEFT else _right_image_atom(atom, a)
             image = shift_image(side, a, source)
-        fits = _atoms_within(atoms, target.atoms[0])
+            verdict = check_shift_at(top, side, a, b, t)
+        fits = atoms_within(atoms, target.atoms[0])
         assert fits == subset(image, target).holds, (text, side, a, b, t)
+        assert isinstance(verdict, ContinuousAt if fits else DiscontinuousAt), (text, side, a, b, t)
         outcomes.add(fits)
     # the window and discrete topologies are continuous everywhere
     assert outcomes == ({True, False} if text.startswith("padic") else {True})
+
+
+@pytest.mark.parametrize("shape", ("padic+:{p}", "padic-:{p}", "window:{p}:0:2"))
+def test_verdict_kind_ignores_the_target_index_and_the_prime(shape):
+    # the criterion compares far tails with the target by line and isolation,
+    # which neither the index nor the prime moves: p and t enter only through
+    # the steps p^t, alike on every atom of a cell.  Exhaustive over the box.
+    verdicts = {}
+    for p in (2, 3, 5, 7):
+        top = parse_topology(shape.format(p=p))
+        for side, a, b, t in _cells(top, 4, 3):
+            if side is None:
+                verdict = check_joint_at(top, a, b, t)
+            else:
+                verdict = check_shift_at(top, side, a, b, t)
+            key = (type(verdict), getattr(verdict, "modulus", None))
+            verdicts.setdefault((side, a, b, t), set()).add(key)
+    kinds = {}
+    for (side, a, b, t), keys in verdicts.items():
+        assert len(keys) == 1, (shape, side, a, b, t, keys)  # the same kind and modulus for every p
+        kinds.setdefault((side, a, b), set()).update(kind for kind, _ in keys)
+    for cell, seen in kinds.items():
+        assert len(seen) == 1, (shape, cell, seen)  # the same kind at every t
+    found = set().union(*kinds.values())
+    assert found == ({ContinuousAt, DiscontinuousAt} if shape.startswith("padic") else {ContinuousAt})
 
 
 _INVARIANT_TOPOLOGIES = ("padic+:2", "padic-:2", "padic+:3", "padic-:3", "window:2:0:2", "window:3:1:3")
@@ -605,6 +639,22 @@ def test_find_discontinuity_none_for_continuous_side():
     assert find_discontinuity(PAdicMinus(2), RIGHT, 3) is None
     assert find_discontinuity(Discrete(Full()), LEFT, 2) is None
     assert find_discontinuity(WindowPAdic(2, 0, 2), RIGHT, 4) is None
+
+
+def test_find_discontinuity_decides_each_pair_once(monkeypatch):
+    # a cell's kind does not depend on t, so the scan tests t = 1 alone
+    calls = []
+
+    def counting(top, side, s, x, t):
+        calls.append(t)
+        return check_shift_at(top, side, s, x, t)
+
+    monkeypatch.setattr(continuity, "check_shift_at", counting)
+    assert find_discontinuity(WindowPAdic(2, 0, 2), RIGHT, 3, t_max=3) is None
+    assert len(calls) == 81 and set(calls) == {1}  # 9 carrier points, 81 pairs
+    calls.clear()
+    assert find_discontinuity(PAdicPlus(2), RIGHT, 3, t_max=0) is None
+    assert calls == []
 
 
 def test_find_discontinuity_minus_mirror():

@@ -38,13 +38,13 @@ from bicyclic import (
     union,
 )
 from bicyclic.symset import (
-    _atoms_within,
     _left_image_atom,
     _product_row_row,
     _right_image_atom,
     _transpose_atom,
 )
 from bicyclic.symset import atom_disjoint, atom_member
+from reference import atoms_within
 
 symset_module = importlib.import_module("bicyclic.symset")
 
@@ -213,19 +213,21 @@ def test_subset_agrees_with_sampling(a_atoms, b_atoms):
 
 @given(st.lists(atoms, max_size=4), atoms)
 def test_atoms_within_one_atom_is_the_subset_test(a_atoms, outer):
-    # raw atoms, duplicates and absorbed ones included, against a one-atom set
-    assert _atoms_within(a_atoms, outer) == subset(SymSet(tuple(a_atoms)), SymSet((outer,))).holds
+    # the oracle of the continuity criterion: raw atoms, duplicates and
+    # absorbed ones included, against a one-atom set
+    assert atoms_within(a_atoms, outer) == subset(SymSet(tuple(a_atoms)), SymSet((outer,))).holds
 
 
 def test_atoms_within_pinned():
     outer = RowTail(0, 1, 2)
-    assert _atoms_within([RowTail(0, 3, 4), Single(E(0, 7))], outer)
-    assert not _atoms_within([RowTail(0, 3, 3)], outer)  # step not a multiple
-    assert not _atoms_within([RowTail(0, 2, 4)], outer)  # base off the progression
-    assert not _atoms_within([RowTail(1, 3, 4)], outer)  # another row
-    assert not _atoms_within([ColTail(0, 1, 2)], outer)  # meets the row once
-    assert not _atoms_within([RowTail(0, 1, 2)], Single(E(0, 1)))
-    assert _atoms_within([], Single(E(0, 1)))
+    assert atoms_within([RowTail(0, 3, 4), Single(E(0, 7))], outer)
+    assert not atoms_within([RowTail(0, 3, 3)], outer)  # step not a multiple
+    assert not atoms_within([RowTail(0, 2, 4)], outer)  # base off the progression
+    assert not atoms_within([RowTail(0, 1, 2)], RowTail(0, 3, 2))  # base below outer's
+    assert not atoms_within([RowTail(1, 3, 4)], outer)  # another row
+    assert not atoms_within([ColTail(0, 1, 2)], outer)  # meets the row once
+    assert not atoms_within([RowTail(0, 1, 2)], Single(E(0, 1)))
+    assert atoms_within([], Single(E(0, 1)))
 
 
 @given(st.lists(atoms, max_size=3), st.lists(atoms, max_size=3))
