@@ -14,22 +14,27 @@ never moves, only the progression step changes), each question is
 monotone in k.
 
 One criterion decides every cell: the far tails of the image.  The image
-of a source tail ends in a far tail, the image of its high end and the
-last atom that _left_image_atom or _right_image_atom emits for it, whose
-line (the fixed exponent) does not depend on k.  If one runs along
-another line than the target, no k can ever work, and the verdict carries
-one concrete escaping element per small k.  If none does, the whole image
-fits at the least index that can work, k0 (_structural_reason proves
-this), and the cell is continuous with modulus k0.  A point atom does not
-depend on the index, so when both source atoms are points (the cell has
-no far tail), k0 = 1.  Otherwise a source tail of step p^k has an image
-holding an infinite slope-one tail of step p^k, which fits inside a
-target of step p^t only when p^t divides p^k, so k0 = t.
+of a source tail ends in a far tail, the image of its high end, on a line
+(the fixed exponent) that the image builders' own arithmetic gives without
+k: a source tail that crosses the translation keeps its own line, and one
+that runs along it ends on sk + max(0, line - sl), the row (or column) of
+the product point.  With the topology's tail axis A, the left image by x
+of y's tail ends on (1, y.l) when A = 1 and on (0, (x*y).k) when A = 0,
+and the right image by y of x's tail on (0, x.k) when A = 0 and on
+(1, (x*y).l) when A = 1.  If one runs along another line than the
+target, no k can ever work, and the verdict carries one concrete escaping
+element per small k.  If none does, the whole image fits at the least
+index that can work, k0 (_structural_reason proves this), and the cell is
+continuous with modulus k0.  A point atom does not depend on the index, so
+when both source atoms are points (the cell has no far tail), k0 = 1.
+Otherwise a source tail of step p^k has an image holding an infinite
+slope-one tail of step p^k, which fits inside a target of step p^t only
+when p^t divides p^k, so k0 = t.
 
 Lines and isolation do not depend on t, so neither does a cell's verdict
-kind.  Nothing is searched, and a continuous cell wraps no atom in a set.
-A right image reads s and its source atom in place, on axis 1 of the left
-image builder, so nothing is transposed.
+kind.  Nothing is searched, and a continuous cell compares exponents and
+builds no atom.  Only a failing cell builds atoms, for its witnesses, and
+check_joint's equality flag those of a continuous joint cell.
 """
 
 from __future__ import annotations
@@ -40,18 +45,8 @@ from typing import Optional
 
 from .element import BicyclicElement, _record, multiply, solve_left
 from .families import contains, enumerate_members
-from .symset import (
-    Single,
-    SymSet,
-    _left_image_atom,
-    _pair_atoms,
-    _right_image_atom,
-    left_image,
-    product,
-    right_image,
-    subset,
-)
-from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, basic_nbhd, carrier, is_isolated
+from .symset import SymSet, _pair_atoms, left_image, product, right_image, subset
+from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, _nbhd_axis, carrier, is_isolated
 
 __all__ = [
     "ShiftSide",
@@ -126,18 +121,20 @@ def shift_image(side: ShiftSide, s: BicyclicElement, sets: SymSet) -> SymSet:
 # --- structural analysis ------------------------------------------------------
 
 
-def _structural_reason(far_tails, target) -> Optional[str]:
-    """A far tail off the line of the target atom, which rules out every source index, or None.
+def _structural_reason(far_lines, target) -> Optional[str]:
+    """A far tail off the line of the target's tail, which rules out every source index, or None.
 
-    None means that every atom `_pair_atoms` emits at k0 fits the target.
-    With no source tail, the image is the product point, which its
-    neighborhood holds.  Else the builders read each source tail up from
-    its base, the cell's own point, and the product law switches at one
-    threshold, the other factor's facing exponent (a shift along the
-    tail's axis compares the fixed line, so no member switches).  Members
-    below it make points or shifted copies off the far tail's line.  They
-    exist only when the base lies below it, and then the product point is
-    made the same way, so the far tail leaves its line.  Otherwise every
+    far_lines holds the (axis, line) of each far tail (_far_lines), and
+    target the (axis, line) of the target's tail, or None when the target
+    point is isolated.  None means that every atom `_pair_atoms` emits at
+    k0 fits the target.  With no source tail, the image is the product
+    point, which its neighborhood holds.  Else the builders read each
+    source tail up from its base, the cell's own point, and the product law
+    switches at one threshold, the other factor's facing exponent (a shift
+    along the tail's axis compares the fixed line, so no member switches).
+    Members below it make points or shifted copies off the far tail's line.
+    They exist only when the base lies below it, and then the product point
+    is made the same way, so the far tail leaves its line.  Otherwise every
     atom lies on the target's line: the member at the threshold gives the
     product point or a tail from it, and those above give tails based on
     its progression, of step p^t, since every source tail is built at index
@@ -150,29 +147,30 @@ def _structural_reason(far_tails, target) -> Optional[str]:
     point target is a fault; it raises RuntimeError rather than read as
     continuous.
     """
-    if far_tails and isinstance(target, Single):
+    if far_lines and target is None:
         raise RuntimeError("a far tail meets an isolated target, which no supported topology allows")
-    for tail in far_tails:
-        if (tail.axis, tail.line) != (target.axis, target.line):
+    for axis, line in far_lines:
+        if (axis, line) != target:
             return (
-                f"the image always contains a tail along {('row', 'col')[tail.axis]} {tail.line}, "
-                f"but target neighborhoods live along {('row', 'col')[target.axis]} {target.line}"
+                f"the image always contains a tail along {('row', 'col')[axis]} {line}, "
+                f"but target neighborhoods live along {('row', 'col')[target[0]]} {target[1]}"
             )
     return None
 
 
-def _far_tails(x, ax, y, ay) -> list:
-    """The far tails of the product of atoms ax (holding x) and ay (holding y).
+def _far_lines(x, xa, y, ya, z) -> list:
+    """The (axis, line) of each far tail of x's neighborhood times y's, z = x*y, in closed form.
 
-    A row x row product's own far tail lies on ax's row and a col x col
-    product's on ay's column, lines that the two translates already give.
+    xa and ya are their _nbhd_axis (None for a point).  The left image by x
+    of y's tail comes first, then the right image by y of x's tail; a row x
+    row or col x col product adds no line that these two do not give.
     """
-    tails = []
-    if not isinstance(ay, Single):
-        tails.append(_left_image_atom(x, ay)[-1])
-    if not isinstance(ax, Single):
-        tails.append(_right_image_atom(ax, y)[-1])
-    return tails
+    lines = []
+    if ya is not None:
+        lines.append((1, y.l) if ya else (0, z.k))
+    if xa is not None:
+        lines.append((1, z.l) if xa else (0, x.k))
+    return lines
 
 
 def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
@@ -186,28 +184,24 @@ def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
     return tuple(out)
 
 
-def _decide(top, target, t, x, ax, y, ay):
-    """Decide whether the product of atoms ax (holding x) and ay (holding y) fits the target atom.
+def _decide(top, t, z, za, x, xa, y, ya):
+    """Decide whether the product of x's and y's neighborhoods fits z's, all at index t.
 
-    This is the engine of every cell.  ax and ay are the source atoms
-    built at index t, and their far tails decide (_structural_reason).
-    Without a reason the cell is continuous at k0: 1 when both atoms are
-    points, which are the same at every index, and t otherwise (see the
-    module docstring).  A reason certifies a failure, with witnesses read
-    off the products at k = 1..DEFAULT_WITNESS_BOUND by exact subset tests;
-    only then are atoms wrapped in SymSets.
+    This is the engine of every cell: z = x*y, and za, xa and ya are the
+    three points' _nbhd_axis.  The far tails decide (_structural_reason),
+    by exponents alone.  Without a reason the cell is continuous at k0: 1
+    when both sources are points, which are the same at every index, and t
+    otherwise (see the module docstring).  A reason certifies a failure,
+    with witnesses read off the products at k = 1..DEFAULT_WITNESS_BOUND by
+    exact subset tests; only then are atoms built.
     """
-    tails = _far_tails(x, ax, y, ay)
-    reason = _structural_reason(tails, target)
+    lines = _far_lines(x, xa, y, ya, z)
+    reason = _structural_reason(lines, None if za is None else (za, z.l if za else z.k))
     if reason is None:
-        return ContinuousAt(((t, t if tails else 1),))
-    target = SymSet((target,))
-
-    def at(z, az, k):  # a point atom is its own neighborhood at every index
-        return SymSet((az,)) if isinstance(az, Single) else basic_nbhd(top, z, k)
-
-    images = lambda k: product(at(x, ax, k), at(y, ay, k))
-    return DiscontinuousAt(t, _witnesses(images, target, DEFAULT_WITNESS_BOUND), reason)
+        return ContinuousAt(((t, t if lines else 1),))
+    nbhd = lambda w, axis, k: SymSet((_nbhd_atom(top, w, k, axis),))
+    images = lambda k: product(nbhd(x, xa, k), nbhd(y, ya, k))
+    return DiscontinuousAt(t, _witnesses(images, nbhd(z, za, t), DEFAULT_WITNESS_BOUND), reason)
 
 
 # --- shift continuity ----------------------------------------------------------
@@ -216,18 +210,18 @@ def _decide(top, target, t, x, ax, y, ay):
 def check_shift_at(top: TopologyDescriptor, side: ShiftSide, s: BicyclicElement, x: BicyclicElement, t: int):
     """Decide continuity of the shift by s at the point x for target index t.
 
-    A shift is the product with the point {s}: the engine gets the atom
-    {s} as the fixed factor and the neighborhood atom of x, built at index
-    t, as the other.
+    A shift is the product with the point s: the engine gets s, with no
+    axis, as the fixed factor and x, with the axis of its neighborhood, as
+    the other.
     """
     if not contains(carrier(top), s):
         raise ValueError(f"shift element {s} is outside the carrier")
-    target = _nbhd_atom(top, apply_shift(side, s, x), t)  # also validates the image point
-    source = _nbhd_atom(top, x, t)  # also validates x
-    point = Single(s)
+    z = apply_shift(side, s, x)
+    za = _nbhd_axis(top, z, t)  # also validates the index and the image point
+    xa = _nbhd_axis(top, x, t)  # also validates x
     if side is ShiftSide.LEFT:
-        return _decide(top, target, t, s, point, x, source)
-    return _decide(top, target, t, x, source, s, point)
+        return _decide(top, t, z, za, s, None, x, xa)
+    return _decide(top, t, z, za, x, xa, s, None)
 
 
 @_record
@@ -278,16 +272,11 @@ def check_shift(top: TopologyDescriptor, side: ShiftSide, bound: int, t_max: int
 def check_joint_at(top: TopologyDescriptor, x: BicyclicElement, y: BicyclicElement, t: int):
     """Decide joint continuity of multiplication at the pair (x, y).
 
-    Both source neighborhoods are built once, at index t, and the engine
-    decides their product against the neighborhood of x*y.
+    The product is validated first, then x, then y, and the engine decides
+    the product of their neighborhoods at index t against that of x*y.
     """
-    target, ax, ay = _joint_atoms(top, x, y, t)
-    return _decide(top, target, t, x, ax, y, ay)
-
-
-def _joint_atoms(top, x, y, t):
-    """The target atom of the joint cell at (x, y) and the source atoms of x and y, all built at index t."""
-    return _nbhd_atom(top, multiply(x, y), t), _nbhd_atom(top, x, t), _nbhd_atom(top, y, t)
+    z = multiply(x, y)
+    return _decide(top, t, z, _nbhd_axis(top, z, t), x, _nbhd_axis(top, x, t), y, _nbhd_axis(top, y, t))
 
 
 def _joint_with_equality(top, x, y, t):
@@ -297,10 +286,12 @@ def _joint_with_equality(top, x, y, t):
     lies inside the target, so it equals the target when the target is
     inside the union of its atoms, in whatever order they come.
     """
-    target, ax, ay = _joint_atoms(top, x, y, t)
-    verdict = _decide(top, target, t, x, ax, y, ay)
+    z = multiply(x, y)
+    za, xa, ya = (_nbhd_axis(top, w, t) for w in (z, x, y))
+    verdict = _decide(top, t, z, za, x, xa, y, ya)
     if not isinstance(verdict, ContinuousAt):
         return verdict, None
+    target, ax, ay = (_nbhd_atom(top, w, t, axis) for w, axis in ((z, za), (x, xa), (y, ya)))
     return verdict, subset(SymSet((target,)), SymSet(tuple(_pair_atoms(ax, ay)))).holds
 
 
@@ -379,8 +370,8 @@ def find_discontinuity(
 ) -> Optional[DiscontinuityWitness]:
     """First shift discontinuity within the bound, always at target index t = 1.
 
-    Scans pairs by total exponent size, then lexicographically.  A cell's
-    verdict kind does not depend on the target index (see the module
+    Scans pairs lazily by total exponent size, then lexicographically.  A
+    cell's verdict kind does not depend on the target index (see the module
     docstring), so each pair is decided once, at t = 1; t_max (the bound
     when None) only gates the scan, which finds nothing below 1.  Every
     discontinuous verdict carries a structural reason, so a returned
@@ -389,14 +380,15 @@ def find_discontinuity(
     points = enumerate_members(carrier(top), bound)
     if (bound if t_max is None else t_max) < 1:
         return None
-    pairs = sorted(
-        ((s, x) for s in points for x in points),
-        key=lambda sx: (sx[0].k + sx[0].l + sx[1].k + sx[1].l, sx[0], sx[1]),
-    )
-    for s, x in pairs:
-        verdict = check_shift_at(top, side, s, x, 1)
-        if isinstance(verdict, DiscontinuousAt):
-            return DiscontinuityWitness(s, x, 1, verdict)
+    by_size = {}  # each total size pairs every s with the x that complete it
+    for x in points:
+        by_size.setdefault(x.k + x.l, []).append(x)
+    for total in range(2 * max(by_size, default=0) + 1):
+        for s in points:
+            for x in by_size.get(total - s.k - s.l, ()):
+                verdict = check_shift_at(top, side, s, x, 1)
+                if isinstance(verdict, DiscontinuousAt):
+                    return DiscontinuityWitness(s, x, 1, verdict)
     return None
 
 

@@ -116,27 +116,34 @@ def carrier(top: TopologyDescriptor) -> SetDescriptor:
         raise TypeError(f"unknown topology {top!r}") from None
 
 
-def _nbhd_atom(top: TopologyDescriptor, x: BicyclicElement, idx: int):
-    """The one atom of the idx-th basic neighborhood of x."""
+def _nbhd_axis(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> Optional[int]:
+    """The axis of x's neighborhood tails, or None when x is isolated; validates idx, then x."""
     if not isinstance(idx, int) or idx < 1:
         raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
     if not contains(carrier(top), x):  # an unknown topology raises TypeError here
         raise CarrierError(f"{x} is not in the carrier {format_descriptor(carrier(top))}")
     if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
+        return None
+    return top.axis
+
+
+def _nbhd_atom(top: TopologyDescriptor, x: BicyclicElement, idx: int, axis: Optional[int]):
+    """The one atom of the idx-th basic neighborhood of x, whose _nbhd_axis is axis."""
+    if axis is None:
         return Single(x)
     # the progression through x along its row, or its column for PAdicMinus
-    line, base = (x.k, x.l) if top.axis == 0 else (x.l, x.k)
-    return _TAIL[top.axis](line, base, top.p**idx)
+    line, base = (x.k, x.l) if axis == 0 else (x.l, x.k)
+    return _TAIL[axis](line, base, top.p**idx)
 
 
 def is_isolated(top: TopologyDescriptor, x: BicyclicElement) -> bool:
     """Whether the basic neighborhoods of x are the point itself."""
-    return isinstance(_nbhd_atom(top, x, 1), Single)
+    return _nbhd_axis(top, x, 1) is None
 
 
 def basic_nbhd(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> SymSet:
     """The idx-th basic neighborhood of x, as a one-atom SymSet."""
-    return SymSet((_nbhd_atom(top, x, idx),))
+    return SymSet((_nbhd_atom(top, x, idx, _nbhd_axis(top, x, idx)),))
 
 
 def separation_index(

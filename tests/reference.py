@@ -1,6 +1,6 @@
 """Reference oracles: independent answers that tests compare the library's engines against."""
 
-from bicyclic.symset import Single, atom_member
+from bicyclic.symset import Single, _left_image_atom, _right_image_atom, atom_member
 
 
 def atoms_within(atoms, outer) -> bool:
@@ -27,3 +27,20 @@ def atoms_within(atoms, outer) -> bool:
         ):
             return False
     return True
+
+
+def far_tails(x, ax, y, ay) -> list:
+    """The far tails of the product of atoms ax (holding x) and ay (holding y).
+
+    The oracle of the closed-form far-tail lines: each far tail is the last
+    atom of a whole image list, the left image by x of ay, then the right
+    image by y of ax.  A row x row product's own far tail lies on ax's row
+    and a col x col product's on ay's column, lines that the two translates
+    already give.
+    """
+    tails = []
+    if not isinstance(ay, Single):
+        tails.append(_left_image_atom(x, ay)[-1])
+    if not isinstance(ax, Single):
+        tails.append(_right_image_atom(ax, y)[-1])
+    return tails

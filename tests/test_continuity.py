@@ -45,8 +45,9 @@ from bicyclic import (
     window_joint_report,
 )
 from bicyclic.continuity import _joint_with_equality
-from bicyclic.symset import _left_image_atom, _product_atoms, _right_image_atom
-from reference import atoms_within
+from bicyclic.symset import Tail, _left_image_atom, _product_atoms, _right_image_atom
+from bicyclic.topology import _nbhd_axis
+from reference import atoms_within, far_tails
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -436,7 +437,7 @@ def test_cells_past_twelve_match_the_k_search(text):
 def test_a_far_tail_against_a_point_target_raises(monkeypatch):
     # isolation rules this out (see _structural_reason); a fault that broke
     # it must not read as a silent "continuous"
-    monkeypatch.setattr(continuity, "_far_tails", lambda x, ax, y, ay: [RowTail(0, 0, 2)])
+    monkeypatch.setattr(continuity, "_far_lines", lambda x, xa, y, ya, z: [(0, 0)])
     top = Discrete(Full())
     with pytest.raises(RuntimeError):
         check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)
@@ -551,6 +552,61 @@ def test_far_tails_on_the_target_line_lie_inside_the_target(text):
     assert inside
 
 
+@pytest.mark.parametrize("text", _INVARIANT_TOPOLOGIES + ("discrete:full", "discrete:gen:b^1a^2,b^3a^0"))
+def test_closed_form_far_lines_match_the_image_builders(text):
+    # the (axis, line) pairs read off the exponents are those of the last
+    # atoms that the image builders emit, in the same order
+    top = parse_topology(text)
+    seen = set()
+    for side, a, b, t in _cells(top, 4, 3):
+        x, y = (b, a) if side is RIGHT else (a, b)
+        xa = None if side is LEFT else _nbhd_axis(top, x, t)
+        ya = None if side is RIGHT else _nbhd_axis(top, y, t)
+        ax = Single(x) if side is LEFT else basic_nbhd(top, x, t).atoms[0]
+        ay = Single(y) if side is RIGHT else basic_nbhd(top, y, t).atoms[0]
+        lines = continuity._far_lines(x, xa, y, ya, multiply(x, y))
+        assert lines == [(tail.axis, tail.line) for tail in far_tails(x, ax, y, ay)], (text, side, a, b, t)
+        seen.add(len(lines))
+    if text.startswith("discrete"):
+        assert seen == {0}  # no tails at all
+    else:
+        assert {1, 2} <= seen  # cells with one far tail and with two
+
+
+def test_continuous_cells_build_no_atom(monkeypatch):
+    # a continuous cell compares exponents only; a discontinuous one builds
+    # its target and source atoms for its witnesses
+    built = {Tail: 0, Single: 0, SymSet: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    kinds = set()
+    for text in ("padic+:2", "padic-:2", "window:2:0:2"):
+        top = parse_topology(text)
+        for side, a, b, t in _cells(top, 4, 3):
+            for cls in built:
+                built[cls] = 0
+            if side is None:
+                verdict = check_joint_at(top, a, b, t)
+            else:
+                verdict = check_shift_at(top, side, a, b, t)
+            if isinstance(verdict, ContinuousAt):
+                assert built == {Tail: 0, Single: 0, SymSet: 0}, (text, side, a, b, t)
+            else:
+                assert built[Tail] and built[SymSet], (text, side, a, b, t)
+            kinds.add(type(verdict))
+    assert kinds == {ContinuousAt, DiscontinuousAt}
+
+
 def test_subset_calls_per_cell(monkeypatch):
     calls = []
 
@@ -580,7 +636,7 @@ def test_subset_calls_per_cell(monkeypatch):
 
 
 def test_continuous_cells_build_no_throwaway_records(monkeypatch):
-    # a continuous cell is decided on bare atoms: it wraps none in a SymSet,
+    # a continuous cell is decided on exponents: it builds no SymSet,
     # a right image or a col x col product transposes nothing, and the
     # carrier is the descriptor's own, not a fresh one per point check
     sets, transposes = [], []
@@ -655,6 +711,26 @@ def test_find_discontinuity_decides_each_pair_once(monkeypatch):
     calls.clear()
     assert find_discontinuity(PAdicPlus(2), RIGHT, 3, t_max=0) is None
     assert calls == []
+
+
+def test_find_discontinuity_scans_pairs_lazily_in_size_order(monkeypatch):
+    # the scan stops at the first witness in (size, s, x) order, without
+    # listing the 20,301^2 pairs of the bound-200 box first
+    calls = []
+
+    def counting(top, side, s, x, t):
+        calls.append((s, x))
+        return check_shift_at(top, side, s, x, t)
+
+    monkeypatch.setattr(continuity, "check_shift_at", counting)
+    size = lambda sx: (sx[0].k + sx[0].l + sx[1].k + sx[1].l, sx[0], sx[1])
+    for top, side, count in ((PAdicPlus(2), RIGHT, 8), (PAdicMinus(3), LEFT, 7)):
+        calls.clear()
+        w = find_discontinuity(top, side, 200, t_max=1)
+        assert (w.s, w.x, w.t) == (E(1, 1), E(0, 0), 1)
+        # every visited pair has size at most 2, so it heads the sorted pairs of the bound-2 box
+        pts = _pts(top, 2)
+        assert calls == sorted(((s, x) for s in pts for x in pts), key=size)[:count]
 
 
 def test_find_discontinuity_minus_mirror():
