@@ -32,9 +32,45 @@ slope-one tail of step p^k, which fits inside a target of step p^t only
 when p^t divides p^k, so k0 = t.
 
 Lines and isolation do not depend on t, so neither does a cell's verdict
-kind.  Nothing is searched, and a continuous cell compares exponents and
-builds no atom.  Only a failing cell builds atoms, for its witnesses, and
-check_joint's equality flag those of a continuous joint cell.
+kind.  Nothing is searched, and no cell builds an atom, whatever its
+verdict: a failing cell names its escapes in closed form too, and only
+check_joint's equality flag builds the atoms of a continuous joint cell.
+
+The escapes.  A far tail leaves the target's line only where a source
+tail crosses the other factor and starts below that factor's facing
+exponent.  A shift along the tail's own axis keeps the target's line, and
+no topology mixes the two axes.  On window:p:m:n every tail point has
+l > n and every carrier point k <= n, so no tail starts below; on
+discrete: every point is isolated.  Four shapes remain.  In each, with
+q = p^k and first_above(lo, q, hi) the least lo + q*j > hi
+(symset._first_value_above), the escape at k is u*y or x*v for a named
+member u of x's k-th neighborhood or v of y's, so it lies in the image by
+construction.  It is the element that the canonical image and an exact
+subset test would name: the first atom, in atom order, that the target
+does not hold, as the point itself or the tail's least member.  The
+exponent c takes the first case that applies; the first one applies when
+q divides hi - lo.
+
+  * Right shift on padic+: x's row tail times the point s fails iff
+    x.l < s.k.  Put lo = x.l, hi = s.k.  The members below hi go to
+    points of column s.l on rows x.k + s.k - c, the first of them the
+    target point; the member hi goes to b^x.k a^s.l, and those above to a
+    tail on row x.k.  Points come first, by row, so the escape is u*s with
+    u = b^x.k a^c, where c = hi; else the largest lo + q*j < hi, when it
+    exceeds lo; else first_above(lo, q, hi), the tail's base.
+  * Left shift on padic-: the mirror.  The point s times x's column tail
+    fails iff x.k < s.l; with lo = x.k, hi = s.l and c chosen the same
+    way, the escape is s*v with v = b^c a^x.l.
+  * Joint on padic+: two row tails fail iff x.l < y.k.  The members of x
+    below y.k go to whole tails on rows above x.k, so the first atom lies
+    on row x.k and the escape is u*y with u = b^x.k a^c, where c = y.k,
+    else first_above(x.l, q, y.k).
+  * Joint on padic-: two column tails fail iff y.k < x.l; the escape is
+    x*v with v = b^c a^y.l, where c = x.l, else first_above(y.k, q, x.l).
+
+Every escape lies off the target's line.  _decide checks by arithmetic
+that it lies outside the target tail, and a reason on any other shape
+raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -44,9 +80,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .element import BicyclicElement, _record, multiply, solve_left
-from .families import contains, enumerate_members
-from .symset import SymSet, _pair_atoms, left_image, product, right_image, subset
-from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, _nbhd_axis, carrier, is_isolated
+from .families import _check_bound, contains, enumerate_members
+from .symset import SymSet, _pair_atoms, left_image, right_image, subset
+from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, _nbhd_axis, _PAdic, carrier, is_isolated
 
 __all__ = [
     "ShiftSide",
@@ -173,14 +209,29 @@ def _far_lines(x, xa, y, ya, z) -> list:
     return lines
 
 
-def _witnesses(images, target: SymSet, witness_bound: int) -> tuple:
+def _escapes(top, x, xa, y, ya) -> tuple:
+    """The pairs (k, escape) of a failing cell for k = 1..DEFAULT_WITNESS_BOUND, in closed form.
+
+    The four shapes of the module docstring: x's row tail against y, a
+    point or a row tail, or y's column tail against x, a point or a column
+    tail.  The moving tail's member has exponent c: hi when q divides
+    hi - lo; else, against a point, the largest lo + q*j below hi when
+    that exceeds lo; else the least one above hi.
+    """
+    if xa == 0 and ya in (None, 0):
+        lo, hi, point = x.l, y.k, ya is None
+        escape = lambda c: multiply(BicyclicElement(x.k, c), y)
+    elif ya == 1 and xa in (None, 1):
+        lo, hi, point = y.k, x.l, xa is None
+        escape = lambda c: multiply(x, BicyclicElement(c, y.l))
+    else:
+        raise RuntimeError("a structural reason on a shape that cannot fail")
     out = []
-    for k in range(1, witness_bound + 1):
-        w = subset(images(k), target)
-        if w.holds:
-            # a structural reason guarantees this cannot happen
-            raise RuntimeError("structural certificate contradicted by an exact subset check")
-        out.append((k, w.counterexample))
+    for k in range(1, DEFAULT_WITNESS_BOUND + 1):
+        q = top.p**k
+        j, r = divmod(hi - lo, q)
+        c = hi if r == 0 else lo + q * (j if point and j else j + 1)
+        out.append((k, escape(c)))
     return tuple(out)
 
 
@@ -192,16 +243,21 @@ def _decide(top, t, z, za, x, xa, y, ya):
     by exponents alone.  Without a reason the cell is continuous at k0: 1
     when both sources are points, which are the same at every index, and t
     otherwise (see the module docstring).  A reason certifies a failure,
-    with witnesses read off the products at k = 1..DEFAULT_WITNESS_BOUND by
-    exact subset tests; only then are atoms built.
+    with the escapes at k = 1..DEFAULT_WITNESS_BOUND in closed form
+    (_escapes), each checked to lie outside the target tail.  No cell
+    builds an atom.
     """
     lines = _far_lines(x, xa, y, ya, z)
     reason = _structural_reason(lines, None if za is None else (za, z.l if za else z.k))
     if reason is None:
         return ContinuousAt(((t, t if lines else 1),))
-    nbhd = lambda w, axis, k: SymSet((_nbhd_atom(top, w, k, axis),))
-    images = lambda k: product(nbhd(x, xa, k), nbhd(y, ya, k))
-    return DiscontinuousAt(t, _witnesses(images, nbhd(z, za, t), DEFAULT_WITNESS_BOUND), reason)
+    escapes = _escapes(top, x, xa, y, ya)
+    line, base = (z.l, z.k) if za else (z.k, z.l)
+    for _, e in escapes:
+        on, value = (e.l, e.k) if za else (e.k, e.l)
+        if on == line and value >= base and (value - base) % top.p**t == 0:
+            raise RuntimeError("an escape lies inside the target, which its structural reason forbids")
+    return DiscontinuousAt(t, escapes, reason)
 
 
 # --- shift continuity ----------------------------------------------------------
@@ -376,10 +432,17 @@ def find_discontinuity(
     when None) only gates the scan, which finds nothing below 1.  Every
     discontinuous verdict carries a structural reason, so a returned
     witness is certified for every source index.
+
+    Only the right side of padic+ and the left side of padic- have a cell
+    that can fail (the four shapes of the module docstring), so every
+    other side answers None once the bound is checked, with no scan.
     """
-    points = enumerate_members(carrier(top), bound)
-    if (bound if t_max is None else t_max) < 1:
+    desc = carrier(top)
+    _check_bound(desc, bound)
+    crossing = 1 if side is ShiftSide.LEFT else 0  # the tail axis that crosses s on this side
+    if (bound if t_max is None else t_max) < 1 or not (isinstance(top, _PAdic) and top.axis == crossing):
         return None
+    points = enumerate_members(desc, bound)
     by_size = {}  # each total size pairs every s with the x that complete it
     for x in points:
         by_size.setdefault(x.k + x.l, []).append(x)

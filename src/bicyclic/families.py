@@ -320,6 +320,14 @@ def contains(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = Non
     raise TypeError(f"unknown descriptor {desc!r}")
 
 
+def _check_bound(desc: SetDescriptor, bound: int):
+    """The checks that enumerate_members(desc, bound) makes before it lists anything."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    if isinstance(desc, FinitelyGenerated):
+        _require_cover(desc._gen_max, bound)
+
+
 def enumerate_members(desc: SetDescriptor, bound: int) -> list:
     """Members with both exponents <= bound, lexicographically sorted.
 
@@ -327,8 +335,7 @@ def enumerate_members(desc: SetDescriptor, bound: int) -> list:
     reachable only through intermediates above the bound are absent unless
     the closure saturates.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    _check_bound(desc, bound)
     if isinstance(desc, FinitelyGenerated):
         return list(_elements(desc._box_at(bound)[0], bound))
     box = (

@@ -1,6 +1,6 @@
 """Reference oracles: independent answers that tests compare the library's engines against."""
 
-from bicyclic.symset import Single, _left_image_atom, _right_image_atom, atom_member
+from bicyclic.symset import Single, _left_image_atom, _right_image_atom, atom_member, subset
 
 
 def atoms_within(atoms, outer) -> bool:
@@ -44,3 +44,20 @@ def far_tails(x, ax, y, ay) -> list:
     if not isinstance(ax, Single):
         tails.append(_right_image_atom(ax, y)[-1])
     return tails
+
+
+def witnesses(images, target, witness_bound) -> tuple:
+    """The pairs (k, escape) for k = 1..witness_bound of a failing cell, from its whole images.
+
+    The oracle of the closed-form escapes: images(k) is the canonical image
+    of the k-th source neighborhoods, and the escape is the counterexample
+    of an exact subset test against the target, the first atom in atom
+    order that the target does not hold.
+    """
+    out = []
+    for k in range(1, witness_bound + 1):
+        w = subset(images(k), target)
+        if w.holds:
+            raise RuntimeError("a failing cell's image fits its target")
+        out.append((k, w.counterexample))
+    return tuple(out)

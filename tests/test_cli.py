@@ -1,6 +1,7 @@
 """Command line behavior: output stability, JSON shape, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -182,6 +183,27 @@ def test_find_discontinuity(capsys):
         capsys, "find-discontinuity", "padic+:2", "--side", "left", "--bound", "2"
     )
     assert code == 0 and out == "none\n"
+
+
+def test_continuity_commands_need_no_products_and_no_scan(capsys, monkeypatch):
+    # far escapes come in closed form: the old path built 937,500 points in
+    # four products for this cell; and a side where no cell fails is not scanned
+    from bicyclic import continuity
+
+    symset_module = importlib.import_module("bicyclic.symset")
+    calls = []
+    for name in ("product", "_product_atoms"):
+        monkeypatch.setattr(symset_module, name, lambda *args, name=name: calls.append(name))
+    argv = ["check-shift", "padic+:2", "--side", "right", "b^999999a^1000000", "b^0a^0", "1"]
+    assert run(capsys, *argv) == (0, _CHECK_SHIFT_FAR_ESCAPES_TEXT, "")
+    assert calls == []
+
+    def scanned(*args):
+        raise AssertionError(f"the side was scanned at {args}")
+
+    monkeypatch.setattr(continuity, "check_shift_at", scanned)
+    argv = ["find-discontinuity", "padic+:2", "--side", "left", "--bound", "200", "--t-max", "1"]
+    assert run(capsys, *argv) == (0, "none\n", "")
 
 
 # --- verify ---------------------------------------------------------------------------------
@@ -898,6 +920,20 @@ _CHECK_SHIFT_ESCAPES_JSON = (
     '"target_index": 1}}\n'
 )
 
+_CHECK_SHIFT_FAR_ESCAPES_TEXT = (
+    'discontinuous t=1\n'
+    'reason: the image always contains a tail along row 0, but target neighborhoods live along row 999999\n'
+    '  k=1 escape=b^1a^1000000\n  k=2 escape=b^3a^1000000\n  k=3 escape=b^7a^1000000\n'
+    '  k=4 escape=b^15a^1000000\n'
+)
+_CHECK_SHIFT_FAR_ESCAPES_JSON = (
+    '{"verdict": {"counterexamples": [[1, {"k": 1, "l": 1000000, "text": "b^1a^1000000"}], '
+    '[2, {"k": 3, "l": 1000000, "text": "b^3a^1000000"}], [3, {"k": 7, "l": 1000000, "text": "b^7a^1000000"}], '
+    '[4, {"k": 15, "l": 1000000, "text": "b^15a^1000000"}]], "kind": "discontinuous", '
+    '"structural_reason": "the image always contains a tail along row 0, but target neighborhoods live along row 999999", '
+    '"target_index": 1}}\n'
+)
+
 _CHECK_SHIFT_TAIL_MODULUS_TEXT = 'continuous t=3 k=3\n'
 _CHECK_SHIFT_TAIL_MODULUS_JSON = '{"verdict": {"kind": "continuous", "modulus": [[3, 3]]}}\n'
 
@@ -1238,6 +1274,11 @@ GOLDEN = {
         ["check-shift", "padic+:2", "--side", "right", "b^1a^1", "b^0a^0", "1"],
         _CHECK_SHIFT_ESCAPES_TEXT,
         _CHECK_SHIFT_ESCAPES_JSON,
+    ),
+    "check-shift-far-escapes": (
+        ["check-shift", "padic+:2", "--side", "right", "b^999999a^1000000", "b^0a^0", "1"],
+        _CHECK_SHIFT_FAR_ESCAPES_TEXT,
+        _CHECK_SHIFT_FAR_ESCAPES_JSON,
     ),
     "check-shift-tail-modulus": (
         ["check-shift", "padic-:3", "--side", "left", "b^2a^1", "b^4a^0", "3"],

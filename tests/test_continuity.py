@@ -47,7 +47,7 @@ from bicyclic import (
 from bicyclic.continuity import _joint_with_equality
 from bicyclic.symset import Tail, _left_image_atom, _product_atoms, _right_image_atom
 from bicyclic.topology import _nbhd_axis
-from reference import atoms_within, far_tails
+from reference import atoms_within, far_tails, witnesses
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -235,20 +235,17 @@ def test_no_refutations_in_scope():
 
 def test_joint_sweep_builds_products_only_for_witnesses(monkeypatch):
     # a continuous cell and its equality flag read the raw product atoms at the
-    # modulus; only the witnesses of a discontinuous cell build whole products
+    # modulus, and a discontinuous cell's witnesses come in closed form: no
+    # cell builds a whole product, through product or an image
+    assert not hasattr(continuity, "product")
     calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return product(*args)
-
-    monkeypatch.setattr(continuity, "product", counting)
+    for name in ("product", "_product_atoms"):
+        monkeypatch.setattr(symset_module, name, lambda *args, name=name: calls.append(name))
     for top in (WindowPAdic(2, 0, 2), PAdicPlus(2)):
-        calls.clear()
         rep = check_joint(top, bound=3, t_max=2)
         continuous = sum(isinstance(c.verdict, ContinuousAt) for c in rep.cells)
         discontinuous = len(rep.cells) - continuous
-        assert len(calls) == discontinuous * continuity.DEFAULT_WITNESS_BOUND
+        assert calls == []
         assert all(c.equality is not None for c in rep.cells if isinstance(c.verdict, ContinuousAt))
     assert discontinuous > 0  # the padic+ sweep has both kinds of cell
 
@@ -348,8 +345,7 @@ def _reference_decide(top, target, t, shapes, probes, images, k_max):
     parts = probes(shapes)
     reason = _reference_reason(parts, target, t, getattr(top, "p", None))
     if reason is not None:
-        witnesses = continuity._witnesses(images, target, continuity.DEFAULT_WITNESS_BOUND)
-        return DiscontinuousAt(t, witnesses, reason)
+        return DiscontinuousAt(t, witnesses(images, target, continuity.DEFAULT_WITNESS_BOUND), reason)
     for k in range(1, k_max + 1):
         if subset(images(k), target).holds:
             return ContinuousAt(((t, k),))
@@ -443,6 +439,22 @@ def test_a_far_tail_against_a_point_target_raises(monkeypatch):
         check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)
     with pytest.raises(RuntimeError):
         check_joint_at(top, E(1, 1), E(0, 2), 1)
+
+
+def test_a_reason_without_an_escape_raises(monkeypatch):
+    # a reason on a shape that cannot fail, or an escape that the target
+    # holds, is a fault of the certificate, not a verdict
+    top = PAdicPlus(2)
+    with monkeypatch.context() as m:
+        m.setattr(continuity, "_far_lines", lambda x, xa, y, ya, z: [(0, z.k + 1)])
+        with pytest.raises(RuntimeError, match="cannot fail"):
+            check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)  # a left shift on padic+
+    at_target = lambda top, x, xa, y, ya: ((1, multiply(x, y)),)  # the target point itself
+    monkeypatch.setattr(continuity, "_escapes", at_target)
+    with pytest.raises(RuntimeError, match="inside the target"):
+        check_shift_at(top, RIGHT, E(1, 1), E(0, 0), 1)
+    with pytest.raises(RuntimeError, match="inside the target"):
+        check_joint_at(PAdicMinus(3), E(3, 3), E(0, 0), 2)
 
 
 @pytest.mark.parametrize("text", _DIFF_TOPOLOGIES)
@@ -573,9 +585,55 @@ def test_closed_form_far_lines_match_the_image_builders(text):
         assert {1, 2} <= seen  # cells with one far tail and with two
 
 
+def _oracle_escapes(top, side, a, b, t):
+    """The escapes of a failing cell read off its whole canonical images by exact subset tests."""
+    if side is None:
+        target = basic_nbhd(top, multiply(a, b), t)
+        images = lambda k: product(basic_nbhd(top, a, k), basic_nbhd(top, b, k))
+    else:
+        target = basic_nbhd(top, apply_shift(side, a, b), t)
+        images = lambda k: shift_image(side, a, basic_nbhd(top, b, k))
+    return witnesses(images, target, continuity.DEFAULT_WITNESS_BOUND)
+
+
+def _random_cell(rng, top, high):
+    """A random side, a random pair of carrier points with exponents <= high, and a random t <= 6."""
+
+    def point():
+        k, l = sorted((rng.randint(0, high), rng.randint(0, high)))
+        return E(l, k) if top.axis else E(k, l)
+
+    return rng.choice([LEFT, RIGHT, None]), point(), point(), rng.randint(1, 6)
+
+
+def test_closed_form_witnesses_match_product_and_subset():
+    # every failing cell's escapes equal the counterexamples of the old path:
+    # the canonical product or image at k = 1..4 against the target, by subset
+    texts = [f"padic{sign}:{p}" for sign in "+-" for p in (2, 3, 5, 7)] + ["window:2:0:2", "window:3:1:3"]
+    exhaustive = 0
+    for text in texts:
+        top = parse_topology(text)
+        for side, a, b, t in _cells(top, 6, 3):
+            verdict = check_joint_at(top, a, b, t) if side is None else check_shift_at(top, side, a, b, t)
+            if isinstance(verdict, DiscontinuousAt):
+                assert verdict.counterexamples == _oracle_escapes(top, side, a, b, t), (text, side, a, b, t)
+                exhaustive += 1
+    assert exhaustive == 6048
+    # seeded random cells, kept until 1,000 of them fail
+    rng = random.Random(28)
+    failing = 0
+    while failing < 1000:
+        top = parse_topology(f"padic{rng.choice('+-')}:{rng.choice((2, 3, 5, 7, 11, 13))}")
+        side, a, b, t = _random_cell(rng, top, 80)
+        verdict = check_joint_at(top, a, b, t) if side is None else check_shift_at(top, side, a, b, t)
+        if isinstance(verdict, DiscontinuousAt):
+            assert verdict.counterexamples == _oracle_escapes(top, side, a, b, t), (top, side, a, b, t)
+            failing += 1
+
+
 def test_continuous_cells_build_no_atom(monkeypatch):
-    # a continuous cell compares exponents only; a discontinuous one builds
-    # its target and source atoms for its witnesses
+    # a continuous cell compares exponents only, and a discontinuous one
+    # names its escapes in closed form: no cell builds an atom
     built = {Tail: 0, Single: 0, SymSet: 0}
 
     def counting(cls):
@@ -599,10 +657,7 @@ def test_continuous_cells_build_no_atom(monkeypatch):
                 verdict = check_joint_at(top, a, b, t)
             else:
                 verdict = check_shift_at(top, side, a, b, t)
-            if isinstance(verdict, ContinuousAt):
-                assert built == {Tail: 0, Single: 0, SymSet: 0}, (text, side, a, b, t)
-            else:
-                assert built[Tail] and built[SymSet], (text, side, a, b, t)
+            assert built == {Tail: 0, Single: 0, SymSet: 0}, (text, side, a, b, t)
             kinds.add(type(verdict))
     assert kinds == {ContinuousAt, DiscontinuousAt}
 
@@ -623,12 +678,9 @@ def test_subset_calls_per_cell(monkeypatch):
             verdict = check_joint_at(top, a, b, t)
         else:
             verdict = check_shift_at(top, side, a, b, t)
-        if isinstance(verdict, ContinuousAt):
-            assert len(calls) == 0, (side, a, b, t)
-        else:
-            # one exact subset test per witness
-            assert isinstance(verdict, DiscontinuousAt), (side, a, b, t)
-            assert len(calls) == continuity.DEFAULT_WITNESS_BOUND, (side, a, b, t)
+        # a failing cell's escapes come in closed form, with no subset test
+        assert len(calls) == 0, (side, a, b, t)
+        assert isinstance(verdict, (ContinuousAt, DiscontinuousAt)), (side, a, b, t)
         modulus = verdict.modulus_for(t) if isinstance(verdict, ContinuousAt) else None
         seen.add((type(verdict).__name__, modulus))
     # the sweep exercises point cells (k0 = 1), tail cells (k0 = t) and certificates
@@ -706,11 +758,62 @@ def test_find_discontinuity_decides_each_pair_once(monkeypatch):
         return check_shift_at(top, side, s, x, t)
 
     monkeypatch.setattr(continuity, "check_shift_at", counting)
-    assert find_discontinuity(WindowPAdic(2, 0, 2), RIGHT, 3, t_max=3) is None
-    assert len(calls) == 81 and set(calls) == {1}  # 9 carrier points, 81 pairs
+    w = find_discontinuity(PAdicPlus(2), RIGHT, 3, t_max=3)
+    assert w.t == 1 and calls and set(calls) == {1}
     calls.clear()
+    # a side on which no cell can fail is not scanned at all
+    assert find_discontinuity(WindowPAdic(2, 0, 2), RIGHT, 3, t_max=3) is None
+    assert calls == []
     assert find_discontinuity(PAdicPlus(2), RIGHT, 3, t_max=0) is None
     assert calls == []
+
+
+_NO_FAILURE_SIDES = (
+    ("padic+:2", LEFT),
+    ("padic+:5", LEFT),
+    ("padic-:3", RIGHT),
+    ("padic-:7", RIGHT),
+    ("window:2:0:2", LEFT),
+    ("window:2:0:2", RIGHT),
+    ("window:3:1:3", LEFT),
+    ("window:3:1:3", RIGHT),
+    ("discrete:full", LEFT),
+    ("discrete:gen:b^0a^1,b^2a^0", RIGHT),
+)
+
+
+@pytest.mark.parametrize("text, side", _NO_FAILURE_SIDES)
+def test_find_discontinuity_without_a_scan_matches_the_full_scan(text, side):
+    # the oracle decides every pair of the box at every t; none fails, so the
+    # scan that the answer skips would have found nothing
+    top = parse_topology(text)
+    for bound in range(2, 6):  # the generated carrier needs a bound of 2
+        pts = _pts(top, bound)
+        assert all(
+            isinstance(check_shift_at(top, side, s, x, t), ContinuousAt)
+            for s in pts
+            for x in pts
+            for t in (1, 2, 3)
+        ), (text, side, bound)
+        assert find_discontinuity(top, side, bound) is None
+        assert find_discontinuity(top, side, bound, t_max=3) is None
+
+
+def test_find_discontinuity_without_a_scan_keeps_its_checks(monkeypatch):
+    # the bound-200 box of padic+:2 has 412 million (s, x) pairs; the left
+    # side decides none of them, and still rejects what the scan rejected
+
+    def scanned(*args):
+        raise AssertionError(f"the side was scanned at {args}")
+
+    monkeypatch.setattr(continuity, "check_shift_at", scanned)
+    assert find_discontinuity(PAdicPlus(2), LEFT, 200, t_max=1) is None
+    with pytest.raises(ValueError, match="bound must be non-negative"):
+        find_discontinuity(PAdicPlus(2), LEFT, -1)
+    with pytest.raises(ValueError, match="closure bound must cover the generators"):
+        find_discontinuity(parse_topology("discrete:gen:b^3a^0"), LEFT, 2)
+    with pytest.raises(TypeError):
+        find_discontinuity(object(), LEFT, 2)
 
 
 def test_find_discontinuity_scans_pairs_lazily_in_size_order(monkeypatch):
