@@ -13,64 +13,85 @@ Because basic neighborhoods only refine as the index grows (the base point
 never moves, only the progression step changes), each question is
 monotone in k.
 
-One criterion decides every cell: the far tails of the image.  The image
-of a source tail ends in a far tail, the image of its high end, on a line
-(the fixed exponent) that the image builders' own arithmetic gives without
-k: a source tail that crosses the translation keeps its own line, and one
-that runs along it ends on sk + max(0, line - sl), the row (or column) of
-the product point.  With the topology's tail axis A, the left image by x
-of y's tail ends on (1, y.l) when A = 1 and on (0, (x*y).k) when A = 0,
-and the right image by y of x's tail on (0, x.k) when A = 0 and on
-(1, (x*y).l) when A = 1.  If one runs along another line than the
-target, no k can ever work, and the verdict carries one concrete escaping
-element per small k.  If none does, the whole image fits at the least
-index that can work, k0 (_structural_reason proves this), and the cell is
-continuous with modulus k0.  A point atom does not depend on the index, so
-when both source atoms are points (the cell has no far tail), k0 = 1.
-Otherwise a source tail of step p^k has an image holding an infinite
-slope-one tail of step p^k, which fits inside a target of step p^t only
-when p^t divides p^k, so k0 = t.
+The locus.  With z = x*y, the product law is
 
+    z.k = x.k + y.k - min(x.l, y.k),    z.l = x.l + y.l - min(x.l, y.k).
+
+A source neighborhood at index k is the point itself, when it is
+isolated, or a tail of step q = p^k from it: along x's row (padic+,
+window) or along its column (padic-).  A member b^x.k a^c of x's row tail
+meets y at min(c, y.k).  Once c >= y.k the product is b^x.k a^(c-y.k+y.l),
+so the tail's far members all lie on x's row; that is the target's row
+z.k iff min(x.l, y.k) = y.k.  Put lo = x.l and hi = y.k: the far line is
+the target's iff lo >= hi.  The mirror: a member b^c a^y.l of y's column
+tail goes to column y.l once c >= x.l, the target's column z.l iff
+lo = y.k >= hi = x.l.  _crossing names these two shapes, x's row tail
+against a point or a row tail and y's column tail against a point or a
+column tail, as (axis, lo, hi, point), and nothing else decides a cell.
+
+Every other shape keeps the target's line.  y's row tail under x, or x's
+column tail under y, meets the other factor at a fixed exponent, so each
+member moves by the same translation as the cell's own point; no topology
+mixes the two axes; and two points give the point z.  So a cell fails iff
+its shape crosses with lo < hi:
+
+  * right shift by s on padic+: x.l < s.k;
+  * left shift by s on padic-: x.k < s.l;
+  * joint on padic+: x.l < y.k;
+  * joint on padic-: y.k < x.l;
+  * window and discrete: never, since every tail point of window:p:m:n
+    has l > n >= the k of every carrier point, and every discrete point
+    is isolated.
+
+A failing cell fails at every k: its moving tail is infinite at each
+index, and a far member off the target's line lies outside the target.
+In any other cell the product law is one translation on all members of
+a source tail, which meet the other factor at a fixed exponent or at or
+above its facing one: a source tail of step p^k goes to a progression of
+step p^k from z along the target's line, and a second source tail adds
+multiples of its own step.  So the
+image fits at k = t and not below, where it holds a tail of step p^k that
+a target of step p^t cannot hold; the modulus is t.  With two point
+sources the image is the point z at every index, so the modulus is 1.
 Lines and isolation do not depend on t, so neither does a cell's verdict
 kind.  Nothing is searched, and no cell builds an atom, whatever its
-verdict: a failing cell names its escapes in closed form too, and only
-check_joint's equality flag builds the atoms of a continuous joint cell.
+verdict: only check_joint's equality flag builds the atoms of a
+continuous joint cell.
 
-The escapes.  A far tail leaves the target's line only where a source
-tail crosses the other factor and starts below that factor's facing
-exponent.  A shift along the tail's own axis keeps the target's line, and
-no topology mixes the two axes.  On window:p:m:n every tail point has
-l > n and every carrier point k <= n, so no tail starts below; on
-discrete: every point is isolated.  Four shapes remain.  In each, with
-q = p^k and first_above(lo, q, hi) the least lo + q*j > hi
-(symset._first_value_above), the escape at k is u*y or x*v for a named
-member u of x's k-th neighborhood or v of y's, so it lies in the image by
-construction.  It is the element that the canonical image and an exact
-subset test would name: the first atom, in atom order, that the target
-does not hold, as the point itself or the tail's least member.  The
-exponent c takes the first case that applies; the first one applies when
-q divides hi - lo.
+The escapes.  In each failing shape, with q = p^k and
+first_above(lo, q, hi) the least lo + q*j > hi (symset._first_value_above),
+the escape at k is u*y or x*v for a named member u of x's k-th
+neighborhood or v of y's, so it lies in the image by construction.  It is
+the element that the canonical image and an exact subset test would name:
+the first atom, in atom order, that the target does not hold, as the
+point itself or the tail's least member.  The exponent c takes the first
+case that applies; the first one applies when q divides hi - lo.
 
-  * Right shift on padic+: x's row tail times the point s fails iff
-    x.l < s.k.  Put lo = x.l, hi = s.k.  The members below hi go to
-    points of column s.l on rows x.k + s.k - c, the first of them the
+  * Right shift on padic+ (lo = x.l, hi = s.k): the members below hi go
+    to points of column s.l on rows x.k + s.k - c, the first of them the
     target point; the member hi goes to b^x.k a^s.l, and those above to a
     tail on row x.k.  Points come first, by row, so the escape is u*s with
     u = b^x.k a^c, where c = hi; else the largest lo + q*j < hi, when it
     exceeds lo; else first_above(lo, q, hi), the tail's base.
-  * Left shift on padic-: the mirror.  The point s times x's column tail
-    fails iff x.k < s.l; with lo = x.k, hi = s.l and c chosen the same
-    way, the escape is s*v with v = b^c a^x.l.
-  * Joint on padic+: two row tails fail iff x.l < y.k.  The members of x
-    below y.k go to whole tails on rows above x.k, so the first atom lies
-    on row x.k and the escape is u*y with u = b^x.k a^c, where c = y.k,
-    else first_above(x.l, q, y.k).
-  * Joint on padic-: two column tails fail iff y.k < x.l; the escape is
-    x*v with v = b^c a^y.l, where c = x.l, else first_above(y.k, q, x.l).
+  * Left shift on padic- (lo = x.k, hi = s.l): the mirror, s*v with
+    v = b^c a^x.l and c chosen the same way.
+  * Joint on padic+ (lo = x.l, hi = y.k): the members of x below hi go to
+    whole tails on rows above x.k, so the first atom lies on row x.k and
+    the escape is u*y with u = b^x.k a^c, where c = hi, else
+    first_above(lo, q, hi).
+  * Joint on padic- (lo = y.k, hi = x.l): the mirror, x*v with
+    v = b^c a^y.l.
 
-Every escape lies off the target's line.  _decide checks by arithmetic
-that it lies outside the target tail, and a reason on any other shape
-raises RuntimeError.
+Every escape lies off the target's line, and _decide checks by arithmetic
+that it lies outside the target tail.
+
+The first failing pair.  find_discontinuity scans nothing.  Only the right
+side of padic+ and the left side of padic- can fail, and on each the
+first pair in order of total exponent size is (s, x) = (b^1a^1, b^0a^0).
+A failing right shift on padic+ needs s.k > x.l >= 0, and s.l >= s.k in
+the upper half, so s has total size at least 2; at size 2 that leaves
+s = b^1a^1 and x = b^0a^0, which fails since 0 < 1.  The left side of
+padic- mirrors it with s.l > x.k.
 """
 
 from __future__ import annotations
@@ -157,81 +178,35 @@ def shift_image(side: ShiftSide, s: BicyclicElement, sets: SymSet) -> SymSet:
 # --- structural analysis ------------------------------------------------------
 
 
-def _structural_reason(far_lines, target) -> Optional[str]:
-    """A far tail off the line of the target's tail, which rules out every source index, or None.
+def _crossing(x, xa, y, ya) -> Optional[tuple]:
+    """(axis, lo, hi, point) for the two shapes that can fail, or None for every other shape.
 
-    far_lines holds the (axis, line) of each far tail (_far_lines), and
-    target the (axis, line) of the target's tail, or None when the target
-    point is isolated.  None means that every atom `_pair_atoms` emits at
-    k0 fits the target.  With no source tail, the image is the product
-    point, which its neighborhood holds.  Else the builders read each
-    source tail up from its base, the cell's own point, and the product law
-    switches at one threshold, the other factor's facing exponent (a shift
-    along the tail's axis compares the fixed line, so no member switches).
-    Members below it make points or shifted copies off the far tail's line.
-    They exist only when the base lies below it, and then the product point
-    is made the same way, so the far tail leaves its line.  Otherwise every
-    atom lies on the target's line: the member at the threshold gives the
-    product point or a tail from it, and those above give tails based on
-    its progression, of step p^t, since every source tail is built at index
-    t and two of them flatten to that gcd step with no gaps.
-
-    A tail source never maps to an isolated point, a window point of
-    second exponent at most n: a product's second exponent is at least its
-    right factor's, and at least its left factor's when the right factor
-    is a window point (first exponent at most n).  So a far tail against a
-    point target is a fault; it raises RuntimeError rather than read as
-    continuous.
+    xa and ya are the _nbhd_axis of x and y (None for a point), and the
+    cell fails iff lo < hi (see the module docstring).
     """
-    if far_lines and target is None:
-        raise RuntimeError("a far tail meets an isolated target, which no supported topology allows")
-    for axis, line in far_lines:
-        if (axis, line) != target:
-            return (
-                f"the image always contains a tail along {('row', 'col')[axis]} {line}, "
-                f"but target neighborhoods live along {('row', 'col')[target[0]]} {target[1]}"
-            )
+    if xa == 0 and ya in (None, 0):
+        return 0, x.l, y.k, ya is None
+    if ya == 1 and xa in (None, 1):
+        return 1, y.k, x.l, xa is None
     return None
 
 
-def _far_lines(x, xa, y, ya, z) -> list:
-    """The (axis, line) of each far tail of x's neighborhood times y's, z = x*y, in closed form.
-
-    xa and ya are their _nbhd_axis (None for a point).  The left image by x
-    of y's tail comes first, then the right image by y of x's tail; a row x
-    row or col x col product adds no line that these two do not give.
-    """
-    lines = []
-    if ya is not None:
-        lines.append((1, y.l) if ya else (0, z.k))
-    if xa is not None:
-        lines.append((1, z.l) if xa else (0, x.k))
-    return lines
-
-
-def _escapes(top, x, xa, y, ya) -> tuple:
+def _escapes(top, x, y, crossing) -> tuple:
     """The pairs (k, escape) of a failing cell for k = 1..DEFAULT_WITNESS_BOUND, in closed form.
 
-    The four shapes of the module docstring: x's row tail against y, a
-    point or a row tail, or y's column tail against x, a point or a column
-    tail.  The moving tail's member has exponent c: hi when q divides
-    hi - lo; else, against a point, the largest lo + q*j below hi when
-    that exceeds lo; else the least one above hi.
+    crossing is the cell's _crossing.  The moving tail's member has
+    exponent c: hi when q divides hi - lo; else, against a point, the
+    largest lo + q*j below hi when that exceeds lo; else the least one
+    above hi.
     """
-    if xa == 0 and ya in (None, 0):
-        lo, hi, point = x.l, y.k, ya is None
-        escape = lambda c: multiply(BicyclicElement(x.k, c), y)
-    elif ya == 1 and xa in (None, 1):
-        lo, hi, point = y.k, x.l, xa is None
-        escape = lambda c: multiply(x, BicyclicElement(c, y.l))
-    else:
-        raise RuntimeError("a structural reason on a shape that cannot fail")
+    axis, lo, hi, point = crossing
     out = []
     for k in range(1, DEFAULT_WITNESS_BOUND + 1):
         q = top.p**k
         j, r = divmod(hi - lo, q)
         c = hi if r == 0 else lo + q * (j if point and j else j + 1)
-        out.append((k, escape(c)))
+        u, v = (BicyclicElement(x.k, c), y) if axis == 0 else (x, BicyclicElement(c, y.l))
+        out.append((k, multiply(u, v)))
     return tuple(out)
 
 
@@ -239,22 +214,36 @@ def _decide(top, t, z, za, x, xa, y, ya):
     """Decide whether the product of x's and y's neighborhoods fits z's, all at index t.
 
     This is the engine of every cell: z = x*y, and za, xa and ya are the
-    three points' _nbhd_axis.  The far tails decide (_structural_reason),
-    by exponents alone.  Without a reason the cell is continuous at k0: 1
-    when both sources are points, which are the same at every index, and t
-    otherwise (see the module docstring).  A reason certifies a failure,
-    with the escapes at k = 1..DEFAULT_WITNESS_BOUND in closed form
-    (_escapes), each checked to lie outside the target tail.  No cell
-    builds an atom.
+    three points' _nbhd_axis.  _crossing decides, by exponents alone.  A
+    continuous cell has modulus 1 when both sources are points, which are
+    the same at every index, and t otherwise.  A failing cell's reason
+    names the moving tail's line and the target's, and its escapes at
+    k = 1..DEFAULT_WITNESS_BOUND come in closed form (_escapes), each
+    checked to lie outside the target tail.  No cell builds an atom.
+
+    A source tail never maps to an isolated point, a window point of
+    second exponent at most n: a product's second exponent is at least its
+    right factor's, and at least its left factor's when the right factor
+    is a window point (first exponent at most n).  So a source tail against
+    a point target is a fault; it raises RuntimeError rather than read as
+    continuous.
     """
-    lines = _far_lines(x, xa, y, ya, z)
-    reason = _structural_reason(lines, None if za is None else (za, z.l if za else z.k))
-    if reason is None:
-        return ContinuousAt(((t, t if lines else 1),))
-    escapes = _escapes(top, x, xa, y, ya)
-    line, base = (z.l, z.k) if za else (z.k, z.l)
+    points = xa is None and ya is None
+    if za is None and not points:
+        raise RuntimeError("a source tail meets an isolated target, which no supported topology allows")
+    crossing = _crossing(x, xa, y, ya)
+    if crossing is None or crossing[1] >= crossing[2]:
+        return ContinuousAt(((t, 1 if points else t),))
+    axis = crossing[0]
+    name = ("row", "col")[axis]
+    line, base = (z.k, z.l) if axis == 0 else (z.l, z.k)
+    reason = (
+        f"the image always contains a tail along {name} {y.l if axis else x.k}, "
+        f"but target neighborhoods live along {name} {line}"
+    )
+    escapes = _escapes(top, x, y, crossing)
     for _, e in escapes:
-        on, value = (e.l, e.k) if za else (e.k, e.l)
+        on, value = (e.k, e.l) if axis == 0 else (e.l, e.k)
         if on == line and value >= base and (value - base) % top.p**t == 0:
             raise RuntimeError("an escape lies inside the target, which its structural reason forbids")
     return DiscontinuousAt(t, escapes, reason)
@@ -407,7 +396,7 @@ def window_joint_report(p: int, m: int, n: int, bound: int, t_max: int = 3) -> J
     return check_joint(WindowPAdic(p, m, n), bound, t_max=t_max)
 
 
-# --- witness scan ------------------------------------------------------------------
+# --- first witness ------------------------------------------------------------------
 
 
 @_record
@@ -424,35 +413,21 @@ def find_discontinuity(
     bound: int,
     t_max: Optional[int] = None,
 ) -> Optional[DiscontinuityWitness]:
-    """First shift discontinuity within the bound, always at target index t = 1.
+    """First shift discontinuity within the bound, in order of total exponent size, at t = 1.
 
-    Scans pairs lazily by total exponent size, then lexicographically.  A
-    cell's verdict kind does not depend on the target index (see the module
-    docstring), so each pair is decided once, at t = 1; t_max (the bound
-    when None) only gates the scan, which finds nothing below 1.  Every
-    discontinuous verdict carries a structural reason, so a returned
-    witness is certified for every source index.
-
-    Only the right side of padic+ and the left side of padic- have a cell
-    that can fail (the four shapes of the module docstring), so every
-    other side answers None once the bound is checked, with no scan.
+    Read off the locus, with no scan (see the module docstring): only the
+    right side of padic+ and the left side of padic- have a cell that can
+    fail, and on each the first failing pair is (b^1a^1, b^0a^0), which
+    one check_shift_at certifies for every source index.  Every other
+    side, and a bound of 0, answers None.  The carrier and the bound are
+    checked first; a t_max below 1 also answers None.
     """
-    desc = carrier(top)
-    _check_bound(desc, bound)
-    crossing = 1 if side is ShiftSide.LEFT else 0  # the tail axis that crosses s on this side
-    if (bound if t_max is None else t_max) < 1 or not (isinstance(top, _PAdic) and top.axis == crossing):
+    _check_bound(carrier(top), bound)
+    axis = 1 if side is ShiftSide.LEFT else 0  # the tail axis that crosses s on this side
+    if (t_max is not None and t_max < 1) or bound < 1 or not (isinstance(top, _PAdic) and top.axis == axis):
         return None
-    points = enumerate_members(desc, bound)
-    by_size = {}  # each total size pairs every s with the x that complete it
-    for x in points:
-        by_size.setdefault(x.k + x.l, []).append(x)
-    for total in range(2 * max(by_size, default=0) + 1):
-        for s in points:
-            for x in by_size.get(total - s.k - s.l, ()):
-                verdict = check_shift_at(top, side, s, x, 1)
-                if isinstance(verdict, DiscontinuousAt):
-                    return DiscontinuityWitness(s, x, 1, verdict)
-    return None
+    s, x = BicyclicElement(1, 1), BicyclicElement(0, 0)
+    return DiscontinuityWitness(s, x, 1, check_shift_at(top, side, s, x, 1))
 
 
 # --- solution-set replay --------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Reference oracles: independent answers that tests compare the library's engines against."""
 
+from bicyclic.continuity import DiscontinuityWitness, DiscontinuousAt, ShiftSide, check_shift_at
+from bicyclic.families import enumerate_members
 from bicyclic.symset import Single, _left_image_atom, _right_image_atom, atom_member, subset
+from bicyclic.topology import carrier
 
 
 def atoms_within(atoms, outer) -> bool:
@@ -61,3 +64,26 @@ def witnesses(images, target, witness_bound) -> tuple:
             raise RuntimeError("a failing cell's image fits its target")
         out.append((k, w.counterexample))
     return tuple(out)
+
+
+def first_discontinuity(top, side: ShiftSide, bound: int, t_max=None):
+    """The first failing shift cell in order of total exponent size, then s, then x, by a scan.
+
+    The oracle of find_discontinuity, which reads the pair off the locus:
+    this lists the carrier points of the box (checking the carrier and the
+    bound), answers None when t_max (the bound when None) is below 1, and
+    otherwise decides the pairs lazily at t = 1 until one fails.
+    """
+    points = enumerate_members(carrier(top), bound)
+    if (bound if t_max is None else t_max) < 1:
+        return None
+    by_size = {}  # each total size pairs every s with the x that complete it
+    for x in points:
+        by_size.setdefault(x.k + x.l, []).append(x)
+    for total in range(2 * max(by_size, default=0) + 1):
+        for s in points:
+            for x in by_size.get(total - s.k - s.l, ()):
+                verdict = check_shift_at(top, side, s, x, 1)
+                if isinstance(verdict, DiscontinuousAt):
+                    return DiscontinuityWitness(s, x, 1, verdict)
+    return None

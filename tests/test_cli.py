@@ -187,8 +187,10 @@ def test_find_discontinuity(capsys):
 
 def test_continuity_commands_need_no_products_and_no_scan(capsys, monkeypatch):
     # far escapes come in closed form: the old path built 937,500 points in
-    # four products for this cell; and a side where no cell fails is not scanned
-    from bicyclic import continuity
+    # four products for this cell; a side where no cell fails is not scanned;
+    # and a side with a witness reads it off the locus, where listing the
+    # 4.5 million points of the bound-3000 box ended in a MemoryError
+    from bicyclic import continuity, families
 
     symset_module = importlib.import_module("bicyclic.symset")
     calls = []
@@ -204,6 +206,14 @@ def test_continuity_commands_need_no_products_and_no_scan(capsys, monkeypatch):
     monkeypatch.setattr(continuity, "check_shift_at", scanned)
     argv = ["find-discontinuity", "padic+:2", "--side", "left", "--bound", "200", "--t-max", "1"]
     assert run(capsys, *argv) == (0, "none\n", "")
+
+    monkeypatch.undo()
+    listed = []
+    for module in (continuity, families):
+        monkeypatch.setattr(module, "enumerate_members", lambda *args: listed.append(args) or [])
+    argv = ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "3000", "--t-max", "1"]
+    assert run(capsys, *argv) == (0, _FIND_DISCONTINUITY_FOUND_TEXT, "")
+    assert listed == []
 
 
 # --- verify ---------------------------------------------------------------------------------
@@ -1307,6 +1317,13 @@ GOLDEN = {
     ),
     "find-discontinuity-found": (
         ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "3", "--t-max", "2"],
+        _FIND_DISCONTINUITY_FOUND_TEXT,
+        _FIND_DISCONTINUITY_FOUND_JSON,
+    ),
+    # the bytes that the scan printed at --bound 200, before it was replaced by
+    # the locus; at --bound 3000 the scan ran out of memory listing the box
+    "find-discontinuity-bound3000": (
+        ["find-discontinuity", "padic+:2", "--side", "right", "--bound", "3000", "--t-max", "1"],
         _FIND_DISCONTINUITY_FOUND_TEXT,
         _FIND_DISCONTINUITY_FOUND_JSON,
     ),

@@ -46,8 +46,7 @@ from bicyclic import (
 )
 from bicyclic.continuity import _joint_with_equality
 from bicyclic.symset import Tail, _left_image_atom, _product_atoms, _right_image_atom
-from bicyclic.topology import _nbhd_axis
-from reference import atoms_within, far_tails, witnesses
+from reference import atoms_within, far_tails, first_discontinuity, witnesses
 
 E = BicyclicElement
 LEFT, RIGHT = ShiftSide.LEFT, ShiftSide.RIGHT
@@ -430,29 +429,23 @@ def test_cells_past_twelve_match_the_k_search(text):
         assert 13 in moduli  # some tail cell needs the modulus 13 itself
 
 
-def test_a_far_tail_against_a_point_target_raises(monkeypatch):
-    # isolation rules this out (see _structural_reason); a fault that broke
-    # it must not read as a silent "continuous"
-    monkeypatch.setattr(continuity, "_far_lines", lambda x, xa, y, ya, z: [(0, 0)])
-    top = Discrete(Full())
-    with pytest.raises(RuntimeError):
-        check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)
-    with pytest.raises(RuntimeError):
-        check_joint_at(top, E(1, 1), E(0, 2), 1)
+def test_a_far_tail_against_a_point_target_raises():
+    # isolation rules this out (see _decide); a fault that broke it must not
+    # read as a silent "continuous", whether the cell would fit or fail
+    top = PAdicPlus(2)
+    s, x, y = E(1, 1), E(0, 0), E(3, 3)
+    with pytest.raises(RuntimeError, match="isolated target"):
+        continuity._decide(top, 1, multiply(s, x), None, s, None, x, 0)  # a left shift
+    with pytest.raises(RuntimeError, match="isolated target"):
+        continuity._decide(top, 1, multiply(x, y), None, x, 0, y, 0)  # a failing joint cell
 
 
 def test_a_reason_without_an_escape_raises(monkeypatch):
-    # a reason on a shape that cannot fail, or an escape that the target
-    # holds, is a fault of the certificate, not a verdict
-    top = PAdicPlus(2)
-    with monkeypatch.context() as m:
-        m.setattr(continuity, "_far_lines", lambda x, xa, y, ya, z: [(0, z.k + 1)])
-        with pytest.raises(RuntimeError, match="cannot fail"):
-            check_shift_at(top, LEFT, E(1, 1), E(0, 2), 1)  # a left shift on padic+
-    at_target = lambda top, x, xa, y, ya: ((1, multiply(x, y)),)  # the target point itself
+    # an escape that the target holds is a fault of the certificate, not a verdict
+    at_target = lambda top, x, y, crossing: ((1, multiply(x, y)),)  # the target point itself
     monkeypatch.setattr(continuity, "_escapes", at_target)
     with pytest.raises(RuntimeError, match="inside the target"):
-        check_shift_at(top, RIGHT, E(1, 1), E(0, 0), 1)
+        check_shift_at(PAdicPlus(2), RIGHT, E(1, 1), E(0, 0), 1)
     with pytest.raises(RuntimeError, match="inside the target"):
         check_joint_at(PAdicMinus(3), E(3, 3), E(0, 0), 2)
 
@@ -566,23 +559,34 @@ def test_far_tails_on_the_target_line_lie_inside_the_target(text):
 
 @pytest.mark.parametrize("text", _INVARIANT_TOPOLOGIES + ("discrete:full", "discrete:gen:b^1a^2,b^3a^0"))
 def test_closed_form_far_lines_match_the_image_builders(text):
-    # the (axis, line) pairs read off the exponents are those of the last
-    # atoms that the image builders emit, in the same order
+    # the locus read off the exponents agrees with the far tails that the
+    # image builders emit: a cell fails iff one lies off the target's line,
+    # and the reason names the first such tail
     top = parse_topology(text)
-    seen = set()
+    seen, failing = set(), 0
+    named = lambda atom: f"{('row', 'col')[atom.axis]} {atom.line}"
     for side, a, b, t in _cells(top, 4, 3):
         x, y = (b, a) if side is RIGHT else (a, b)
-        xa = None if side is LEFT else _nbhd_axis(top, x, t)
-        ya = None if side is RIGHT else _nbhd_axis(top, y, t)
         ax = Single(x) if side is LEFT else basic_nbhd(top, x, t).atoms[0]
         ay = Single(y) if side is RIGHT else basic_nbhd(top, y, t).atoms[0]
-        lines = continuity._far_lines(x, xa, y, ya, multiply(x, y))
-        assert lines == [(tail.axis, tail.line) for tail in far_tails(x, ax, y, ay)], (text, side, a, b, t)
-        seen.add(len(lines))
+        target = basic_nbhd(top, multiply(x, y), t).atoms[0]
+        tails = far_tails(x, ax, y, ay)
+        assert not (tails and isinstance(target, Single)), (text, side, a, b, t)
+        off = [tail for tail in tails if (tail.axis, tail.line) != (target.axis, target.line)]
+        verdict = check_joint_at(top, a, b, t) if side is None else check_shift_at(top, side, a, b, t)
+        assert isinstance(verdict, DiscontinuousAt) == bool(off), (text, side, a, b, t)
+        if off:
+            assert verdict.structural_reason == (
+                f"the image always contains a tail along {named(off[0])}, "
+                f"but target neighborhoods live along {named(target)}"
+            ), (text, side, a, b, t)
+            failing += 1
+        seen.add(len(tails))
     if text.startswith("discrete"):
         assert seen == {0}  # no tails at all
     else:
         assert {1, 2} <= seen  # cells with one far tail and with two
+    assert bool(failing) == text.startswith("padic")
 
 
 def _oracle_escapes(top, side, a, b, t):
@@ -768,35 +772,39 @@ def test_find_discontinuity_decides_each_pair_once(monkeypatch):
     assert calls == []
 
 
-_NO_FAILURE_SIDES = (
-    ("padic+:2", LEFT),
-    ("padic+:5", LEFT),
-    ("padic-:3", RIGHT),
-    ("padic-:7", RIGHT),
-    ("window:2:0:2", LEFT),
-    ("window:2:0:2", RIGHT),
-    ("window:3:1:3", LEFT),
-    ("window:3:1:3", RIGHT),
-    ("discrete:full", LEFT),
-    ("discrete:gen:b^0a^1,b^2a^0", RIGHT),
+_SCAN_TOPOLOGIES = (
+    "padic+:2",
+    "padic+:5",
+    "padic-:3",
+    "padic-:7",
+    "window:2:0:2",
+    "window:3:1:3",
+    "discrete:full",
+    "discrete:gen:b^0a^1,b^2a^0",
 )
 
 
-@pytest.mark.parametrize("text, side", _NO_FAILURE_SIDES)
+def _answer(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("side", (LEFT, RIGHT))
+@pytest.mark.parametrize("text", _SCAN_TOPOLOGIES)
 def test_find_discontinuity_without_a_scan_matches_the_full_scan(text, side):
-    # the oracle decides every pair of the box at every t; none fails, so the
-    # scan that the answer skips would have found nothing
+    # the oracle scans the pairs of the box in size order, at t = 1; the
+    # answer read off the locus is the same witness, None or error
     top = parse_topology(text)
-    for bound in range(2, 6):  # the generated carrier needs a bound of 2
-        pts = _pts(top, bound)
-        assert all(
-            isinstance(check_shift_at(top, side, s, x, t), ContinuousAt)
-            for s in pts
-            for x in pts
-            for t in (1, 2, 3)
-        ), (text, side, bound)
-        assert find_discontinuity(top, side, bound) is None
-        assert find_discontinuity(top, side, bound, t_max=3) is None
+    answers = []
+    for bound in range(-1, 7):
+        for t_max in (None, -1, 0, 1, 3, 8):
+            answer = _answer(find_discontinuity, top, side, bound, t_max)
+            assert answer == _answer(first_discontinuity, top, side, bound, t_max), (text, side, bound, t_max)
+            answers.append(answer)
+    found = any(isinstance(a, str) and a != "None" for a in answers)
+    assert found == ((text, side) in {("padic+:2", RIGHT), ("padic+:5", RIGHT), ("padic-:3", LEFT), ("padic-:7", LEFT)})
 
 
 def test_find_discontinuity_without_a_scan_keeps_its_checks(monkeypatch):
@@ -817,8 +825,8 @@ def test_find_discontinuity_without_a_scan_keeps_its_checks(monkeypatch):
 
 
 def test_find_discontinuity_scans_pairs_lazily_in_size_order(monkeypatch):
-    # the scan stops at the first witness in (size, s, x) order, without
-    # listing the 20,301^2 pairs of the bound-200 box first
+    # the witness is read off the locus: one check_shift_at certifies it,
+    # and it heads the (size, s, x) order, with no pair of the bound-200 box listed
     calls = []
 
     def counting(top, side, s, x, t):
@@ -827,13 +835,14 @@ def test_find_discontinuity_scans_pairs_lazily_in_size_order(monkeypatch):
 
     monkeypatch.setattr(continuity, "check_shift_at", counting)
     size = lambda sx: (sx[0].k + sx[0].l + sx[1].k + sx[1].l, sx[0], sx[1])
-    for top, side, count in ((PAdicPlus(2), RIGHT, 8), (PAdicMinus(3), LEFT, 7)):
+    for top, side in ((PAdicPlus(2), RIGHT), (PAdicMinus(3), LEFT)):
         calls.clear()
         w = find_discontinuity(top, side, 200, t_max=1)
         assert (w.s, w.x, w.t) == (E(1, 1), E(0, 0), 1)
-        # every visited pair has size at most 2, so it heads the sorted pairs of the bound-2 box
+        # the witness has size 2, so it heads the sorted failing pairs of the bound-2 box too
         pts = _pts(top, 2)
-        assert calls == sorted(((s, x) for s in pts for x in pts), key=size)[:count]
+        failing = [(s, x) for s in pts for x in pts if isinstance(check_shift_at(top, side, s, x, 1), DiscontinuousAt)]
+        assert calls == sorted(failing, key=size)[:1]
 
 
 def test_find_discontinuity_minus_mirror():
