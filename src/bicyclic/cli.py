@@ -12,6 +12,10 @@ Beyond `element`, each command imports the layers it uses inside its
 handler, and `json` only for --format json, so a process compiles only
 the modules its command needs: the element commands load no `symset`
 and no `dataclasses`.  The verification suites live in `verify`.
+
+`main` builds a command's parser on its first call in a process and
+reuses it on later calls, so an in-process caller pays for argparse once
+per command; a shell command still builds only its own subparser.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import argparse
 import os
 import re
 import sys
+from functools import lru_cache
 from math import log10
 
 from .element import (
@@ -78,8 +83,13 @@ def _descriptor_arg(text: str, cap: int):
     return parse_descriptor(_check_digits(text, cap, "family"))
 
 
+@lru_cache(maxsize=256)
 def _largest_index(p: int) -> int:
-    """The largest t with p^t below 10^MAX_STEP_DIGITS; no power above that is formed."""
+    """The largest t with p^t below 10^MAX_STEP_DIGITS; no power above that is formed.
+
+    Kept for the last 256 primes asked in a process, since it forms numbers
+    of about 14,000 bits.
+    """
     limit = 10**MAX_STEP_DIGITS
     t = int(MAX_STEP_DIGITS / log10(p))  # off by at most one, settled exactly below
     while p ** (t + 1) < limit:
@@ -116,7 +126,8 @@ def _edict(e: BicyclicElement) -> dict:
 def _set_result(s):
     from .symset import format_symset, symset_to_records
 
-    return {"set": symset_to_records(s), "text": format_symset(s)}, format_symset(s), 0
+    text = format_symset(s)
+    return {"set": symset_to_records(s), "text": text}, text, 0
 
 
 def _verdict_dict(v) -> dict:
@@ -550,9 +561,22 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+# a command name, or None for the parser with every subparser -> that parser
+_PARSERS = {}
+
+
+def _parser(command) -> argparse.ArgumentParser:
+    """`_build_parser(command)`, built on the first call for that command in this process."""
+    key = command if command in _COMMANDS else None
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = _build_parser(key)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload, text, code = args.func(args)
     except ValueError as exc:

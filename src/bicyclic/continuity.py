@@ -101,9 +101,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .element import BicyclicElement, _record, multiply, solve_left
-from .families import _check_bound, contains, enumerate_members
+from .families import _check_bound, enumerate_members
 from .symset import SymSet, _pair_atoms, left_image, right_image, subset
-from .topology import TopologyDescriptor, WindowPAdic, _nbhd_atom, _nbhd_axis, _PAdic, carrier, is_isolated
+from .topology import (
+    CarrierError, TopologyDescriptor, WindowPAdic, _axis_of, _check_index, _nbhd_atom, _PAdic, carrier, is_isolated,
+)
 
 __all__ = [
     "ShiftSide",
@@ -181,7 +183,7 @@ def shift_image(side: ShiftSide, s: BicyclicElement, sets: SymSet) -> SymSet:
 def _crossing(x, xa, y, ya) -> Optional[tuple]:
     """(axis, lo, hi, point) for the two shapes that can fail, or None for every other shape.
 
-    xa and ya are the _nbhd_axis of x and y (None for a point), and the
+    xa and ya are the `_axis` of x and y (None for a point), and the
     cell fails iff lo < hi (see the module docstring).
     """
     if xa == 0 and ya in (None, 0):
@@ -214,7 +216,7 @@ def _decide(top, t, z, za, x, xa, y, ya):
     """Decide whether the product of x's and y's neighborhoods fits z's, all at index t.
 
     This is the engine of every cell: z = x*y, and za, xa and ya are the
-    three points' _nbhd_axis.  _crossing decides, by exponents alone.  A
+    three points' `_axis`.  _crossing decides, by exponents alone.  A
     continuous cell has modulus 1 when both sources are points, which are
     the same at every index, and t otherwise.  A failing cell's reason
     names the moving tail's line and the target's, and its escapes at
@@ -257,13 +259,17 @@ def check_shift_at(top: TopologyDescriptor, side: ShiftSide, s: BicyclicElement,
 
     A shift is the product with the point s: the engine gets s, with no
     axis, as the fixed factor and x, with the axis of its neighborhood, as
-    the other.
+    the other.  s is checked against the carrier first, then the index,
+    the image point and x.
     """
-    if not contains(carrier(top), s):
-        raise ValueError(f"shift element {s} is outside the carrier")
+    axis = _axis_of(top)
+    try:
+        axis(s)
+    except CarrierError:
+        raise ValueError(f"shift element {s} is outside the carrier") from None
     z = apply_shift(side, s, x)
-    za = _nbhd_axis(top, z, t)  # also validates the index and the image point
-    xa = _nbhd_axis(top, x, t)  # also validates x
+    _check_index(t)
+    za, xa = axis(z), axis(x)
     if side is ShiftSide.LEFT:
         return _decide(top, t, z, za, s, None, x, xa)
     return _decide(top, t, z, za, x, xa, s, None)
@@ -317,11 +323,19 @@ def check_shift(top: TopologyDescriptor, side: ShiftSide, bound: int, t_max: int
 def check_joint_at(top: TopologyDescriptor, x: BicyclicElement, y: BicyclicElement, t: int):
     """Decide joint continuity of multiplication at the pair (x, y).
 
-    The product is validated first, then x, then y, and the engine decides
-    the product of their neighborhoods at index t against that of x*y.
+    The index is validated first, then the product, x and y, and the
+    engine decides the product of their neighborhoods at index t against
+    that of x*y.
     """
+    return _decide(top, t, *_joint_axes(top, x, y, t))
+
+
+def _joint_axes(top, x, y, t) -> tuple:
+    """(z, za, x, xa, y, ya) for z = x*y, each point with its `_axis`, after the index check."""
     z = multiply(x, y)
-    return _decide(top, t, z, _nbhd_axis(top, z, t), x, _nbhd_axis(top, x, t), y, _nbhd_axis(top, y, t))
+    _check_index(t)
+    axis = _axis_of(top)
+    return z, axis(z), x, axis(x), y, axis(y)
 
 
 def _joint_with_equality(top, x, y, t):
@@ -331,8 +345,7 @@ def _joint_with_equality(top, x, y, t):
     lies inside the target, so it equals the target when the target is
     inside the union of its atoms, in whatever order they come.
     """
-    z = multiply(x, y)
-    za, xa, ya = (_nbhd_axis(top, w, t) for w in (z, x, y))
+    z, za, x, xa, y, ya = _joint_axes(top, x, y, t)
     verdict = _decide(top, t, z, za, x, xa, y, ya)
     if not isinstance(verdict, ContinuousAt):
         return verdict, None

@@ -70,22 +70,35 @@ DEFAULT_CLOSURE_BOUND = 16
 
 
 class SetDescriptor:
-    """Base marker for the family descriptors below."""
+    """Base marker for the family descriptors below.
+
+    Each descriptor holds its membership test as `_member(x, bound)`, its
+    defining inequality; only FinitelyGenerated reads the bound.
+    """
 
 
 @_record
 class Full(SetDescriptor):
     """The whole monoid."""
 
+    def _member(self, x, bound=None):
+        return True
+
 
 @_record
 class CPlus(SetDescriptor):
     """Upper half k <= l: non-negative powers of a against matching b's."""
 
+    def _member(self, x, bound=None):
+        return x.k <= x.l
+
 
 @_record
 class CMinus(SetDescriptor):
     """Lower half k >= l."""
+
+    def _member(self, x, bound=None):
+        return x.k >= x.l
 
 
 @_record
@@ -97,6 +110,9 @@ class CPlusRow(SetDescriptor):
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("row index must be non-negative")
+
+    def _member(self, x, bound=None):
+        return x.k == self.n and x.l >= self.n
 
 
 @_record
@@ -110,10 +126,16 @@ class CPlusWindow(SetDescriptor):
         if self.m < 0 or self.n < self.m:
             raise ValueError(f"window needs 0 <= m <= n, got [{self.m}, {self.n}]")
 
+    def _member(self, x, bound=None):
+        return self.m <= x.k <= self.n and x.l >= x.k
+
 
 @_record
 class IdempotentChain(SetDescriptor):
     """The diagonal k = l."""
+
+    def _member(self, x, bound=None):
+        return x.k == x.l
 
 
 @_record
@@ -145,6 +167,9 @@ class FinitelyGenerated(SetDescriptor):
             _require_cover(self._gen_max, bound)
             view = self._views[bound] = _closure_box(self.gens, bound)
         return view
+
+    def _member(self, x, bound=None):
+        return membership(self, x, bound).member
 
     def closure_at(self, bound: int) -> ClosureResult:
         """`closure(self.gens, bound)`, read from the box computed on the first call for this bound."""
@@ -299,25 +324,17 @@ def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = N
 
 
 def contains(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = None) -> bool:
-    """Whether x is a member; a closed-form family answers by its defining inequalities.
+    """Whether x is a member, by the descriptor's own `_member`.
 
-    FinitelyGenerated answers through `membership`, from its bounded closure.
+    A closed-form family answers by its defining inequality;
+    FinitelyGenerated answers through `membership`, from its bounded
+    closure.  Any other object raises TypeError.
     """
-    if isinstance(desc, Full):
-        return True
-    if isinstance(desc, CPlus):
-        return x.k <= x.l
-    if isinstance(desc, CMinus):
-        return x.k >= x.l
-    if isinstance(desc, CPlusRow):
-        return x.k == desc.n and x.l >= desc.n
-    if isinstance(desc, CPlusWindow):
-        return desc.m <= x.k <= desc.n and x.l >= x.k
-    if isinstance(desc, IdempotentChain):
-        return x.k == x.l
-    if isinstance(desc, FinitelyGenerated):
-        return membership(desc, x, bound).member
-    raise TypeError(f"unknown descriptor {desc!r}")
+    try:
+        member = desc._member
+    except AttributeError:
+        raise TypeError(f"unknown descriptor {desc!r}") from None
+    return member(x, bound)
 
 
 def _check_bound(desc: SetDescriptor, bound: int):

@@ -31,7 +31,6 @@ from .families import (
     CPlus,
     CPlusWindow,
     SetDescriptor,
-    contains,
     format_descriptor,
     parse_descriptor,
 )
@@ -65,6 +64,9 @@ def _require_prime(p: int):
 class TopologyDescriptor:
     """Base marker for the topology descriptors below."""
 
+    def _off_carrier(self, x) -> CarrierError:
+        return CarrierError(f"{x} is not in the carrier {format_descriptor(self._carrier)}")
+
 
 @_record
 class Discrete(TopologyDescriptor):
@@ -72,6 +74,10 @@ class Discrete(TopologyDescriptor):
 
     def __post_init__(self):
         object.__setattr__(self, "_carrier", self.carrier_desc)
+
+    def _axis(self, x) -> None:
+        if not self._carrier._member(x):
+            raise self._off_carrier(x)
 
 
 @_record
@@ -83,6 +89,11 @@ class _PAdic(TopologyDescriptor):
     def __post_init__(self):
         _require_prime(self.p)
         object.__setattr__(self, "_carrier", CMinus() if self.axis else CPlus())
+
+    def _axis(self, x) -> int:
+        if not self._carrier._member(x):
+            raise self._off_carrier(x)
+        return self.axis
 
 
 class PAdicPlus(_PAdic):
@@ -107,6 +118,11 @@ class WindowPAdic(TopologyDescriptor):
             raise ValueError(f"window needs 0 <= m <= n, got [{self.m}, {self.n}]")
         object.__setattr__(self, "_carrier", CPlusWindow(self.m, self.n))
 
+    def _axis(self, x) -> Optional[int]:
+        if not self._carrier._member(x):
+            raise self._off_carrier(x)
+        return None if x.l <= self.n else 0
+
 
 def carrier(top: TopologyDescriptor) -> SetDescriptor:
     """The family the topology lives on, built once per descriptor when it is made."""
@@ -116,19 +132,21 @@ def carrier(top: TopologyDescriptor) -> SetDescriptor:
         raise TypeError(f"unknown topology {top!r}") from None
 
 
-def _nbhd_axis(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> Optional[int]:
-    """The axis of x's neighborhood tails, or None when x is isolated; validates idx, then x."""
+def _check_index(idx):
     if not isinstance(idx, int) or idx < 1:
         raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
-    if not contains(carrier(top), x):  # an unknown topology raises TypeError here
-        raise CarrierError(f"{x} is not in the carrier {format_descriptor(carrier(top))}")
-    if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
-        return None
-    return top.axis
+
+
+def _axis_of(top: TopologyDescriptor):
+    """top's `_axis`: a point's tail axis, or None when isolated; CarrierError off the carrier."""
+    try:
+        return top._axis
+    except AttributeError:
+        raise TypeError(f"unknown topology {top!r}") from None
 
 
 def _nbhd_atom(top: TopologyDescriptor, x: BicyclicElement, idx: int, axis: Optional[int]):
-    """The one atom of the idx-th basic neighborhood of x, whose _nbhd_axis is axis."""
+    """The one atom of the idx-th basic neighborhood of x, whose `_axis` is axis."""
     if axis is None:
         return Single(x)
     # the progression through x along its row, or its column for PAdicMinus
@@ -138,12 +156,13 @@ def _nbhd_atom(top: TopologyDescriptor, x: BicyclicElement, idx: int, axis: Opti
 
 def is_isolated(top: TopologyDescriptor, x: BicyclicElement) -> bool:
     """Whether the basic neighborhoods of x are the point itself."""
-    return _nbhd_axis(top, x, 1) is None
+    return _axis_of(top)(x) is None
 
 
 def basic_nbhd(top: TopologyDescriptor, x: BicyclicElement, idx: int) -> SymSet:
-    """The idx-th basic neighborhood of x, as a one-atom SymSet."""
-    return SymSet((_nbhd_atom(top, x, idx, _nbhd_axis(top, x, idx)),))
+    """The idx-th basic neighborhood of x, as a one-atom SymSet; validates idx, then x."""
+    _check_index(idx)
+    return SymSet((_nbhd_atom(top, x, idx, _axis_of(top)(x)),))
 
 
 def separation_index(

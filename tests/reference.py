@@ -1,9 +1,59 @@
 """Reference oracles: independent answers that tests compare the library's engines against."""
 
 from bicyclic.continuity import DiscontinuityWitness, DiscontinuousAt, ShiftSide, check_shift_at
-from bicyclic.families import enumerate_members
+from bicyclic.families import (
+    CMinus,
+    CPlus,
+    CPlusRow,
+    CPlusWindow,
+    FinitelyGenerated,
+    Full,
+    IdempotentChain,
+    enumerate_members,
+    format_descriptor,
+    membership,
+)
 from bicyclic.symset import Single, _left_image_atom, _right_image_atom, atom_member, subset
-from bicyclic.topology import carrier
+from bicyclic.topology import CarrierError, Discrete, WindowPAdic, carrier
+
+
+def contains_by_type(desc, x, bound=None) -> bool:
+    """Membership by a switch on the descriptor's type.
+
+    The oracle of the descriptors' `_member`: each branch states one
+    family's defining inequality, and a generated family answers from its
+    bounded closure through `membership`.
+    """
+    if isinstance(desc, Full):
+        return True
+    if isinstance(desc, CPlus):
+        return x.k <= x.l
+    if isinstance(desc, CMinus):
+        return x.k >= x.l
+    if isinstance(desc, CPlusRow):
+        return x.k == desc.n and x.l >= desc.n
+    if isinstance(desc, CPlusWindow):
+        return desc.m <= x.k <= desc.n and x.l >= x.k
+    if isinstance(desc, IdempotentChain):
+        return x.k == x.l
+    if isinstance(desc, FinitelyGenerated):
+        return membership(desc, x, bound).member
+    raise TypeError(f"unknown descriptor {desc!r}")
+
+
+def nbhd_axis_by_type(top, x, idx):
+    """The axis of x's neighborhood tails, or None when x is isolated, by a switch on the topology's type.
+
+    The oracle of the topologies' `_axis`: it validates idx, then x against
+    the carrier (CarrierError), and reads isolation off the type.
+    """
+    if not isinstance(idx, int) or idx < 1:
+        raise ValueError(f"neighborhood index must be a positive integer, got {idx!r}")
+    if not contains_by_type(carrier(top), x):  # an unknown topology raises TypeError here
+        raise CarrierError(f"{x} is not in the carrier {format_descriptor(carrier(top))}")
+    if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
+        return None
+    return top.axis
 
 
 def atoms_within(atoms, outer) -> bool:

@@ -1445,10 +1445,11 @@ def test_parser_help_and_usage_errors(capsys, monkeypatch, argv, code, out, err)
     assert (exc.value.code, got.out, got.err) == (code, out, err)
 
 
-def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
+def _count_subparsers(monkeypatch) -> list:
+    """The names of the subparsers built from now on, starting from an empty parser cache."""
     import argparse
 
-    from bicyclic.cli import _COMMANDS
+    import bicyclic.cli
 
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -1458,6 +1459,14 @@ def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(bicyclic.cli, "_PARSERS", {})
+    return built
+
+
+def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
+    from bicyclic.cli import _COMMANDS
+
+    built = _count_subparsers(monkeypatch)
     assert run(capsys, "mul", "b^2a^3", "b^5a^1") == (0, "b^4a^1\n", "")
     assert built == ["mul"]
     built.clear()
@@ -1465,6 +1474,28 @@ def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
         main(["--help"])
     capsys.readouterr()
     assert built == list(_COMMANDS)
+
+
+def test_in_process_calls_reuse_the_parser_and_the_index_cap(capsys, monkeypatch):
+    from bicyclic.cli import _COMMANDS, _largest_index
+
+    built = _count_subparsers(monkeypatch)
+    _largest_index.cache_clear()
+    for top, x, index in (("padic+:2", "b^1a^3", "2"), ("padic+:2", "b^1a^3", "3"), ("padic-:3", "b^3a^1", "2")):
+        code, _, err = run(capsys, "nbhd", top, x, index)
+        assert (code, err) == (0, "")
+    assert built == ["nbhd"]
+    info = _largest_index.cache_info()
+    assert (info.misses, info.hits) == (2, 1)  # worked out once per prime
+    # help and usage errors print the same bytes from parsers built earlier in the process
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "mul", "b^2a^3", "b^5a^1") == (0, "b^4a^1\n", "")
+    for argv, code, out, err in _PARSER_OUTPUT * 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = capsys.readouterr()
+        assert (exc.value.code, got.out, got.err) == (code, out, err)
+    assert built == ["nbhd", "mul", *_COMMANDS]
 
 
 def test_module_entry_point():

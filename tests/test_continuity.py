@@ -161,6 +161,57 @@ def test_shift_validation():
         check_shift_at(PAdicPlus(2), LEFT, E(0, 1), E(2, 0), 1)  # x not in carrier
 
 
+_BAD_INDEX = (ValueError, "neighborhood index must be a positive integer, got 0")
+
+
+def _raised(f, *args):
+    with pytest.raises((ValueError, TypeError)) as exc:
+        f(*args)
+    return exc.type, str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "side, s, x, t, error",
+    [
+        (RIGHT, E(0, 1), E(0, 2), 0, _BAD_INDEX),
+        # s is tested first, then the index, the image point and x
+        (RIGHT, E(2, 1), E(2, 0), 0, (ValueError, "shift element b^2a^1 is outside the carrier")),
+        (RIGHT, E(0, 1), E(2, 0), 0, _BAD_INDEX),
+        (RIGHT, E(0, 1), E(2, 0), 1, (CarrierError, "b^2a^1 is not in the carrier cplus")),
+        (RIGHT, E(0, 2), E(1, 0), 1, (CarrierError, "b^1a^0 is not in the carrier cplus")),
+        (LEFT, E(0, 1), E(3, 0), 1, (CarrierError, "b^2a^0 is not in the carrier cplus")),
+    ],
+)
+def test_shift_errors_in_order(side, s, x, t, error):
+    assert _raised(check_shift_at, PAdicPlus(2), side, s, x, t) == error
+
+
+@pytest.mark.parametrize(
+    "top, x, y, t, error",
+    [
+        # the index is tested first, then the product, x and y
+        (PAdicPlus(2), E(2, 0), E(1, 0), 0, _BAD_INDEX),
+        (PAdicPlus(2), E(2, 0), E(0, 1), 1, (CarrierError, "b^2a^1 is not in the carrier cplus")),
+        (PAdicPlus(2), E(1, 0), E(0, 2), 1, (CarrierError, "b^1a^0 is not in the carrier cplus")),
+        (PAdicPlus(2), E(0, 2), E(1, 0), 1, (CarrierError, "b^1a^0 is not in the carrier cplus")),
+        (PAdicMinus(3), E(2, 0), E(0, 1), 2, (CarrierError, "b^0a^1 is not in the carrier cminus")),
+        (WindowPAdic(2, 1, 2), E(1, 1), E(0, 3), 1, (CarrierError, "b^0a^3 is not in the carrier cplus-window:1:2")),
+        (Discrete(Full()), E(2, 0), E(1, 0), -1, (ValueError, "neighborhood index must be a positive integer, got -1")),
+    ],
+)
+def test_joint_errors_in_order(top, x, y, t, error):
+    assert _raised(check_joint_at, top, x, y, t) == error
+
+
+def test_an_unknown_topology_raises_type_error_in_a_cell():
+    top = object()
+    # a shift tests s against the carrier before the index; a joint cell tests the index first
+    for t in (1, 0):
+        assert _raised(check_shift_at, top, LEFT, E(0, 1), E(0, 0), t) == (TypeError, f"unknown topology {top!r}")
+    assert _raised(check_joint_at, top, E(0, 1), E(0, 0), 1) == (TypeError, f"unknown topology {top!r}")
+    assert _raised(check_joint_at, top, E(0, 1), E(0, 0), 0) == _BAD_INDEX
+
+
 # --- grid reports ----------------------------------------------------------------------
 
 

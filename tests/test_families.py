@@ -34,6 +34,7 @@ from bicyclic import (
     multiply,
     parse_descriptor,
 )
+from reference import contains_by_type
 
 E = BicyclicElement
 
@@ -70,6 +71,35 @@ def test_contains_and_membership_agree_on_closed_forms(desc, rule):
             x = E(k, l)
             assert contains(desc, x) == rule(k, l), (desc, x)
             assert membership(desc, x) == families.BoundedMembership(contains(desc, x), True, 0)
+
+
+_BOX8 = [E(k, l) for k in range(9) for l in range(9)]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        Full(), CPlus(), CMinus(), IdempotentChain(), CPlusRow(0), CPlusRow(3),
+        CPlusWindow(0, 0), CPlusWindow(1, 3), CPlusWindow(2, 8),
+        FinitelyGenerated((E(0, 2), E(3, 0))),  # not saturated: the bound decides
+        FinitelyGenerated((E(1, 3), E(2, 2))),
+        FinitelyGenerated((E(1, 1), E(3, 3))),  # saturated
+    ],
+    ids=format_descriptor,
+)
+def test_member_methods_agree_with_the_type_switch(desc):
+    """Each descriptor's `_member`, and `contains` through it, against the reference switch on its type."""
+    for bound in (None, 3, 8):
+        for x in _BOX8:
+            assert contains(desc, x, bound) == desc._member(x, bound) == contains_by_type(desc, x, bound), (desc, x, bound)
+
+
+@pytest.mark.parametrize("desc", [object(), families.SetDescriptor(), 3])
+def test_contains_rejects_an_unknown_descriptor(desc):
+    with pytest.raises(TypeError, match=r"^unknown descriptor "):
+        contains(desc, E(0, 0))
+    with pytest.raises(TypeError, match=r"^unknown descriptor "):
+        contains_by_type(desc, E(0, 0))
 
 
 def test_enumerate_members_sorted_and_complete():

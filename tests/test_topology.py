@@ -30,6 +30,9 @@ from bicyclic import (
     symset,
     transpose,
 )
+from bicyclic.families import CPlusRow, FinitelyGenerated
+from bicyclic.topology import TopologyDescriptor
+from reference import nbhd_axis_by_type
 
 E = BicyclicElement
 
@@ -112,6 +115,47 @@ def test_isolation():
 def test_index_validation():
     with pytest.raises(ValueError):
         basic_nbhd(PAdicPlus(2), E(0, 0), 0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _axis_through_nbhd(top, x, idx):
+    """The tail axis of x's idx-th basic neighborhood (None for a point), through `basic_nbhd` and `_axis`."""
+    (atom,) = basic_nbhd(top, x, idx).atoms
+    axis = None if isinstance(atom, Single) else atom.axis
+    assert top._axis(x) == axis and is_isolated(top, x) == (axis is None)
+    return axis
+
+
+@pytest.mark.parametrize(
+    "top",
+    TOPS + [Discrete(CPlusRow(2)), Discrete(CPlusWindow(1, 3)), Discrete(FinitelyGenerated((E(0, 2), E(3, 0))))],
+    ids=format_topology,
+)
+def test_axis_methods_agree_with_the_type_switch(top):
+    """Each topology's `_axis` against the reference switch on its type, on every point of box(8).
+
+    Off-carrier points raise the same CarrierError, and a bad index the
+    same ValueError, before any point is tested.
+    """
+    for x in [E(k, l) for k in range(9) for l in range(9)]:
+        for idx in (1, 3, 0, "1"):
+            got = _outcome(_axis_through_nbhd, top, x, idx)
+            assert got == _outcome(nbhd_axis_by_type, top, x, idx), (top, x, idx)
+            if idx == 1 and isinstance(got, tuple):
+                assert got[0] is CarrierError
+
+
+@pytest.mark.parametrize("top", [object(), TopologyDescriptor()])
+def test_an_unknown_topology_raises_type_error(top):
+    for f in (is_isolated, lambda top, x: basic_nbhd(top, x, 1), lambda top, x: nbhd_axis_by_type(top, x, 1)):
+        with pytest.raises(TypeError, match=r"^unknown topology "):
+            f(top, E(0, 0))
 
 
 @pytest.mark.parametrize("top", TOPS)
