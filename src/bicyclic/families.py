@@ -12,9 +12,9 @@ constructions:
     element, an infinite diagonal progression of idempotents inside the
     generated subsemigroup, each member certified by explicit powers and
     products.
-  * `finite_neighborhood`: the finite complement A = S minus (S*e union e*S)
-    for the least qualifying idempotent e, together with the retraction
-    checks that make it useful.
+  * `finite_neighborhood`: the finite open block S minus (S*e union e*S)
+    around x, for the least idempotent e = b^i0 a^i0 of S above x; by the
+    product law it is S intersected with box(i0 - 1).
   * `idempotent_census`: count the diagonal inside a family up to a bound
     and classify the family's idempotent supply as finite, infinite, or
     merely bounded evidence.
@@ -168,8 +168,14 @@ class FinitelyGenerated(SetDescriptor):
             view = self._views[bound] = _closure_box(self.gens, bound)
         return view
 
+    def _bit(self, x, bound) -> tuple:
+        """(x's bit, saturated, B) in the box at B = max(bound or the default, the generators, x)."""
+        used = max(DEFAULT_CLOSURE_BOUND if bound is None else bound, self._gen_max, x.k, x.l)
+        box, saturated = self._box_at(used)
+        return box >> x.k * (used + 1) + x.l & 1 == 1, saturated, used
+
     def _member(self, x, bound=None):
-        return membership(self, x, bound).member
+        return self._bit(x, bound)[0]
 
     def closure_at(self, bound: int) -> ClosureResult:
         """`closure(self.gens, bound)`, read from the box computed on the first call for this bound."""
@@ -316,9 +322,7 @@ def membership(desc: SetDescriptor, x: BicyclicElement, bound: Optional[int] = N
     definite only if the closure saturated.
     """
     if isinstance(desc, FinitelyGenerated):
-        used = max(bound if bound is not None else DEFAULT_CLOSURE_BOUND, desc._gen_max, x.k, x.l)
-        box, saturated = desc._box_at(used)
-        found = box >> x.k * (used + 1) + x.l & 1 == 1
+        found, saturated, used = desc._bit(x, bound)
         return BoundedMembership(found, found or saturated, used)
     return BoundedMembership(contains(desc, x), True, 0)
 
@@ -506,14 +510,25 @@ class Neighborhood:
 
 
 def finite_neighborhood(desc: SetDescriptor, x: BicyclicElement, bound: int) -> Neighborhood:
-    """Carve the finite open block around x out of the family desc.
+    """The finite open block S minus (S*e union e*S) around x in the family S = desc.
 
-    Picks the least i0 >= max(x.k, x.l) + 1 with b^i0 a^i0 in desc, forms
-    both translate sets over the enumeration window, and subtracts.  The
-    window computation is exact: any element of S*e or e*S that lands in
-    the window comes from a window element.  Three checks run before
-    returning: the block equals { y in S : y.k < i0 and y.l < i0 }, x lies
-    in it, and both translation maps are retractions of S on the window.
+    e = b^i0 a^i0 for the least i0 >= max(x.k, x.l) + 1 with e in S, searched
+    up to bound.  The block is S intersected with box(i0 - 1), the members
+    with both exponents below i0.  By the product law
+
+        (b^k a^l) * e = b^(k - l + max(l, i0)) a^max(l, i0)
+        e * (b^k a^l) = b^max(k, i0) a^(l - k + max(k, i0))
+
+    every y*e has second exponent >= i0 and every e*y first exponent >= i0,
+    while y = y*e when y.l >= i0 and y = e*y when y.k >= i0.  So S*e union
+    e*S holds every member with an exponent >= i0 and no point of box(i0 - 1),
+    and the block is S intersected with that box: for every S, the bounded
+    closure of a generated family included (the translate argument of
+    Eberhart and Selden, 1969).  x lies in it, as both its exponents are
+    below i0.  The block takes i0^2 membership tests and no product, whatever
+    the bound; a generated family reads each of them off its closure at
+    bound, the box that already holds e.
+
     A generated family's bound must cover its generators, and then reach
     above x, before the membership test, which would build a closure at the
     largest of them and of x; so an unreachable bound wins over a non-member.
@@ -524,41 +539,16 @@ def finite_neighborhood(desc: SetDescriptor, x: BicyclicElement, bound: int) -> 
         raise NoIsolatingIdempotentError(f"bound {bound} cannot reach an idempotent above {x}")
     if not contains(desc, x, bound):
         raise ValueError(f"{x} is not a member of {format_descriptor(desc)}")
-    i0 = None
-    for n in range(max(x.k, x.l) + 1, bound + 1):
-        if contains(desc, BicyclicElement(n, n), bound):
-            i0 = n
+    for i0 in range(max(x.k, x.l) + 1, bound + 1):
+        if contains(desc, BicyclicElement(i0, i0), bound):
             break
-    if i0 is None:
+    else:
         raise NoIsolatingIdempotentError(
             f"no idempotent b^n a^n with n >= {max(x.k, x.l) + 1} in "
             f"{format_descriptor(desc)} within bound {bound}"
         )
-    e = BicyclicElement(i0, i0)
-    window = enumerate_members(desc, bound)
-    translated = {multiply(z, e) for z in window} | {multiply(e, z) for z in window}
-    block = frozenset(z for z in window if z not in translated)
-
-    characterized = frozenset(z for z in window if z.k < i0 and z.l < i0)
-    if block != characterized:
-        raise RuntimeError("translate complement disagrees with the diagonal-box characterization")
-    if x not in block:
-        raise RuntimeError(f"{x} escaped its own neighborhood block")
-    # A generated family needs no membership check of the translates, and
-    # making it would build closures above the bound.  z and e are members of
-    # closure(gens, B) at B = max(bound, generator exponents), closures grow
-    # with their bound, and a closure holds every product of its members that
-    # lies in its box; so z*e and e*z are members of the closure at
-    # max(B, their exponents), the very one contains() would build.
-    generated = isinstance(desc, FinitelyGenerated)
-    for z in window:
-        lam = multiply(z, e)
-        rho = multiply(e, z)
-        if multiply(lam, e) != lam or multiply(e, rho) != rho:
-            raise RuntimeError("translation maps failed the retraction check")
-        if not generated and not (contains(desc, lam, bound) and contains(desc, rho, bound)):
-            raise RuntimeError("translation maps left the family")
-    return Neighborhood(i0, block)
+    box = (BicyclicElement(k, l) for k in range(i0) for l in range(i0))
+    return Neighborhood(i0, frozenset(y for y in box if contains(desc, y, bound)))
 
 
 # --- descriptor grammar ----------------------------------------------------------

@@ -15,8 +15,10 @@ chain of basic neighborhoods indexed by idx = 1, 2, 3, ...
     second exponent at most n are isolated, all others keep their row
     progressions.
 
-Neighborhoods are returned as SymSets so the continuity machinery can
-push them through translations and products exactly.
+Each topology class tests a point against its carrier in `_axis`, which
+gives the axis of the point's tails or None when it is isolated; the
+continuity cells decide from that alone.  `basic_nbhd` returns a
+neighborhood as a one-atom SymSet, for callers and for `separation_index`.
 """
 
 from __future__ import annotations

@@ -217,13 +217,11 @@ def _suite_thm1(bound):
         (IdempotentChain(), E(2, 2)),
     ]
     for desc, x in cases:
+        # the translate complement over the window: members up to b that are neither z*e nor e*z
         nb = finite_neighborhood(desc, x, b)
-        ok = x in nb.elements and all(z.k < nb.i0 and z.l < nb.i0 for z in nb.elements)
-        ok = ok and all(
-            (E(k, l) in nb.elements) == contains(desc, E(k, l), b)
-            for k in range(nb.i0)
-            for l in range(nb.i0)
-        )
+        e, window = E(nb.i0, nb.i0), enumerate_members(desc, b)
+        translates = {multiply(z, e) for z in window} | {multiply(e, z) for z in window}
+        ok = x in nb.elements and nb.elements == frozenset(window) - translates
         checks.append(
             (
                 f"{format_descriptor(desc)} at {format_element(x)}: finite block below index {nb.i0}",

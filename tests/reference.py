@@ -1,6 +1,7 @@
 """Reference oracles: independent answers that tests compare the library's engines against."""
 
 from bicyclic.continuity import DiscontinuityWitness, DiscontinuousAt, ShiftSide, check_shift_at
+from bicyclic.element import BicyclicElement, multiply
 from bicyclic.families import (
     CMinus,
     CPlus,
@@ -9,6 +10,10 @@ from bicyclic.families import (
     FinitelyGenerated,
     Full,
     IdempotentChain,
+    Neighborhood,
+    NoIsolatingIdempotentError,
+    _require_cover,
+    contains,
     enumerate_members,
     format_descriptor,
     membership,
@@ -54,6 +59,60 @@ def nbhd_axis_by_type(top, x, idx):
     if isinstance(top, Discrete) or (isinstance(top, WindowPAdic) and x.l <= top.n):
         return None
     return top.axis
+
+
+def translate_block(desc, x, bound) -> Neighborhood:
+    """The finite open block around x as the translate complement over the window, with its guards.
+
+    The oracle of finite_neighborhood, which reads the block off box(i0 - 1):
+    this picks the same i0 after the same checks in the same order, lists
+    the window enumerate_members(desc, bound), forms both translate sets by
+    e = b^i0 a^i0 and subtracts them.  Any element of S*e or e*S that lands
+    in the window comes from a window element.  Three guards follow: the
+    block equals the window's members below i0, x lies in it, and both
+    translation maps are retractions of S on the window.
+    """
+    if isinstance(desc, FinitelyGenerated):
+        _require_cover(desc._gen_max, bound)
+    if bound < max(x.k, x.l) + 1:
+        raise NoIsolatingIdempotentError(f"bound {bound} cannot reach an idempotent above {x}")
+    if not contains(desc, x, bound):
+        raise ValueError(f"{x} is not a member of {format_descriptor(desc)}")
+    i0 = None
+    for n in range(max(x.k, x.l) + 1, bound + 1):
+        if contains(desc, BicyclicElement(n, n), bound):
+            i0 = n
+            break
+    if i0 is None:
+        raise NoIsolatingIdempotentError(
+            f"no idempotent b^n a^n with n >= {max(x.k, x.l) + 1} in "
+            f"{format_descriptor(desc)} within bound {bound}"
+        )
+    e = BicyclicElement(i0, i0)
+    window = enumerate_members(desc, bound)
+    translated = {multiply(z, e) for z in window} | {multiply(e, z) for z in window}
+    block = frozenset(z for z in window if z not in translated)
+
+    characterized = frozenset(z for z in window if z.k < i0 and z.l < i0)
+    if block != characterized:
+        raise RuntimeError("translate complement disagrees with the diagonal-box characterization")
+    if x not in block:
+        raise RuntimeError(f"{x} escaped its own neighborhood block")
+    # A generated family needs no membership check of the translates, and
+    # making it would build closures above the bound.  z and e are members of
+    # closure(gens, B) at B = max(bound, generator exponents), closures grow
+    # with their bound, and a closure holds every product of its members that
+    # lies in its box; so z*e and e*z are members of the closure at
+    # max(B, their exponents), the very one contains() would build.
+    generated = isinstance(desc, FinitelyGenerated)
+    for z in window:
+        lam = multiply(z, e)
+        rho = multiply(e, z)
+        if multiply(lam, e) != lam or multiply(e, rho) != rho:
+            raise RuntimeError("translation maps failed the retraction check")
+        if not generated and not (contains(desc, lam, bound) and contains(desc, rho, bound)):
+            raise RuntimeError("translation maps left the family")
+    return Neighborhood(i0, block)
 
 
 def atoms_within(atoms, outer) -> bool:

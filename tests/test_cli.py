@@ -296,6 +296,42 @@ def test_verify_thm2_names_a_division_that_disagrees_with_the_brute_scan(capsys,
     ]
 
 
+_THM1_BLOCK_LABELS = [
+    "FAIL full at b^1a^2: finite block below index 3",
+    "FAIL full at b^0a^0: finite block below index 1",
+    "FAIL cplus at b^1a^3: finite block below index 4",
+    "FAIL cminus at b^3a^1: finite block below index 4",
+    "FAIL idem at b^2a^2: finite block below index 3",
+]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # drop a member other than x, or x itself when it is alone
+        lambda nb, x: nb.elements - {max(nb.elements - {x}, default=x)},
+        # add e = b^i0 a^i0, a window point with an exponent >= i0
+        lambda nb, x: nb.elements | {bicyclic.BicyclicElement(nb.i0, nb.i0)},
+    ],
+    ids=["drop-a-member", "add-a-point-at-i0"],
+)
+def test_verify_thm1_fails_on_a_wrong_block(capsys, monkeypatch, mutate):
+    # the suite checks each block against the translate complement, not against the block's own rule
+    from bicyclic import verify
+
+    finite_neighborhood = verify.finite_neighborhood
+
+    def wrong(desc, x, bound):
+        nb = finite_neighborhood(desc, x, bound)
+        return bicyclic.Neighborhood(nb.i0, frozenset(mutate(nb, x)))
+
+    monkeypatch.setattr(verify, "finite_neighborhood", wrong)
+    code, out, _ = run(capsys, "verify", "thm1")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed[: len(_THM1_BLOCK_LABELS)] == _THM1_BLOCK_LABELS
+
+
 # --- precondition and usage errors -----------------------------------------------------------
 
 
@@ -1187,6 +1223,28 @@ _THM1_NBHD_BOUND20_JSON = (
 )
 
 
+# the bytes that the translate complement printed at --bound 14; at --bound 3000
+# (full) and 2000 (cplus) it ran out of memory listing the window
+_THM1_NBHD_FULL_TEXT = _THM1_NBHD_TEXT
+
+_THM1_NBHD_FULL_JSON = (
+    '{"descriptor": "full", "elements": [{"k": 0, "l": 0, "text": "b^0a^0"}, '
+    '{"k": 0, "l": 1, "text": "b^0a^1"}, {"k": 0, "l": 2, "text": "b^0a^2"}, {"k": 1, '
+    '"l": 0, "text": "b^1a^0"}, {"k": 1, "l": 1, "text": "b^1a^1"}, {"k": 1, "l": 2, '
+    '"text": "b^1a^2"}, {"k": 2, "l": 0, "text": "b^2a^0"}, {"k": 2, "l": 1, '
+    '"text": "b^2a^1"}, {"k": 2, "l": 2, "text": "b^2a^2"}], "i0": 3, "size": 9}\n'
+)
+
+_THM1_NBHD_CPLUS_TEXT = 'i0=3 size=6\nb^0a^0 b^0a^1 b^0a^2 b^1a^1 b^1a^2 b^2a^2\n'
+
+_THM1_NBHD_CPLUS_JSON = (
+    '{"descriptor": "cplus", "elements": [{"k": 0, "l": 0, "text": "b^0a^0"}, '
+    '{"k": 0, "l": 1, "text": "b^0a^1"}, {"k": 0, "l": 2, "text": "b^0a^2"}, {"k": 1, '
+    '"l": 1, "text": "b^1a^1"}, {"k": 1, "l": 2, "text": "b^1a^2"}, {"k": 2, "l": 2, '
+    '"text": "b^2a^2"}], "i0": 3, "size": 6}\n'
+)
+
+
 class _Sha256(str):
     """A golden kept as the sha256 hex digest of its bytes, for outputs too long to inline."""
 
@@ -1228,6 +1286,16 @@ GOLDEN = {
         ["thm1-nbhd", "gen:b^0a^1,b^2a^0", "b^1a^2", "--bound", "20"],
         _THM1_NBHD_BOUND20_TEXT,
         _THM1_NBHD_BOUND20_JSON,
+    ),
+    "thm1-nbhd-full-bound3000": (
+        ["thm1-nbhd", "full", "b^1a^2", "--bound", "3000"],
+        _THM1_NBHD_FULL_TEXT,
+        _THM1_NBHD_FULL_JSON,
+    ),
+    "thm1-nbhd-cplus-bound2000": (
+        ["thm1-nbhd", "cplus", "b^1a^2", "--bound", "2000"],
+        _THM1_NBHD_CPLUS_TEXT,
+        _THM1_NBHD_CPLUS_JSON,
     ),
     "verify-prop1": (["verify", "prop1"], _VERIFY_PROP1_TEXT, _VERIFY_PROP1_JSON),
     "verify-core-oracle": (["verify", "core-oracle"], _VERIFY_CORE_ORACLE_TEXT, _VERIFY_CORE_ORACLE_JSON),

@@ -34,7 +34,7 @@ from bicyclic import (
     multiply,
     parse_descriptor,
 )
-from reference import contains_by_type
+from reference import contains_by_type, translate_block
 
 E = BicyclicElement
 
@@ -294,6 +294,24 @@ def test_closure_matches_worklist_engine_on_edge_cases(gens, bound):
     _assert_matches_worklist(gens, bound)
 
 
+def test_contains_on_a_generated_family_builds_no_membership_record(monkeypatch):
+    records = []
+
+    class Counted(families.BoundedMembership):
+        def __init__(self, *args):
+            records.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(families, "BoundedMembership", Counted)
+    desc = FinitelyGenerated((E(0, 1), E(2, 0)))
+    for x in _BOX8:
+        contains(desc, x)
+        contains(desc, x, 12)
+    assert records == []
+    membership(desc, E(1, 2))
+    assert records == [(True, True, 16)]  # the wrapper does see the records that membership builds
+
+
 @pytest.fixture
 def closure_builds(monkeypatch):
     """Counts closure computations (runs of the box fixpoint) by bound."""
@@ -539,13 +557,6 @@ def test_family_members_distinct():
 # --- finite neighborhood blocks ------------------------------------------------------
 
 
-def _brute_block(desc, i0, bound):
-    window = enumerate_members(desc, bound)
-    e = E(i0, i0)
-    translated = {multiply(z, e) for z in window} | {multiply(e, z) for z in window}
-    return frozenset(z for z in window if z not in translated)
-
-
 @pytest.mark.parametrize(
     "desc,x",
     [
@@ -559,7 +570,7 @@ def _brute_block(desc, i0, bound):
 )
 def test_neighborhood_matches_brute_force(desc, x):
     nb = finite_neighborhood(desc, x, 12)
-    assert nb.elements == _brute_block(desc, nb.i0, 12)
+    assert nb == translate_block(desc, x, 12)
     assert x in nb.elements
     assert all(z.k < nb.i0 and z.l < nb.i0 for z in nb.elements)
 
@@ -584,6 +595,67 @@ def test_neighborhood_checks_the_generator_bound_before_any_closure():
     with pytest.raises(ValueError, match="closure bound must cover the generators"):
         finite_neighborhood(desc, E(0, 1), 12)
     assert desc._views == {}  # no closure was built, at bound 500 or at 12
+
+
+def _block_or_error(block, desc, x, bound):
+    try:
+        nb = block(desc, x, bound)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return nb.i0, nb.elements
+
+
+def test_neighborhood_matches_the_translate_complement():
+    # 9 families x 64 points x 7 bounds: the same block, or the same error in the same order
+    cases = mismatches = 0
+    for text in [
+        "full",
+        "cplus",
+        "cminus",
+        "idem",
+        "cplus-row:2",
+        "cplus-window:1:3",
+        "gen:b^0a^1,b^2a^0",
+        "gen:b^1a^2,b^2a^1,b^0a^3",
+        "gen:b^1a^3,b^2a^0",
+    ]:
+        for bound in (-1, 0, 1, 3, 6, 10, 16):
+            desc, oracle_desc = parse_descriptor(text), parse_descriptor(text)
+            for x in [E(k, l) for k in range(8) for l in range(8)]:
+                cases += 1
+                got = _block_or_error(finite_neighborhood, desc, x, bound)
+                mismatches += got != _block_or_error(translate_block, oracle_desc, x, bound)
+    assert (cases, mismatches) == (4032, 0)
+
+
+@pytest.mark.parametrize(
+    "text, x, bound",
+    [
+        ("full", E(1, 2), 3000),
+        ("cplus", E(1, 2), 3000),
+        ("cminus", E(4, 0), 3000),
+        ("idem", E(5, 5), 3000),
+        ("cplus-window:1:3", E(1, 2), 3000),
+        # a generated family pays for its closure at the bound, and for nothing above box(i0 - 1)
+        ("gen:b^0a^1,b^2a^0", E(1, 2), 40),
+    ],
+)
+def test_neighborhood_cost_is_set_by_i0_not_by_the_bound(monkeypatch, text, x, bound):
+    # an answered call tests x, the diagonal up to i0 and box(i0 - 1), and lists no window
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(families, name, counted)
+
+    for name in ("contains", "enumerate_members", "_elements", "multiply"):
+        counting(name, getattr(families, name))
+    nb = finite_neighborhood(parse_descriptor(text), x, bound)
+    assert calls["contains"] <= nb.i0**2 + nb.i0 + 1
+    assert (calls["enumerate_members"], calls["_elements"], calls["multiply"]) == (0, 0, 0)
 
 
 # --- window shift and inversion ------------------------------------------------------
